@@ -25,7 +25,7 @@ from chebymargin.cheby_core import (
 from chebymargin.landscape import derivative_gap
 from chebymargin.losses import CosineBatch, LossKind, LossSpec, loss_grad_check
 from chebymargin.toytrain import STABILITY_SCALE, TrainConfig, train
-from chebymargin.verif_metrics import DcfParams, TrialScore, compute_eer, compute_min_dcf
+from chebymargin.verif_metrics import DcfParams, Trials, compute_eer, compute_min_dcf
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -262,22 +262,16 @@ def test_criterion_7_metric_oracle_equivalence():
         n_n = int(rng.integers(1, 26))
         targets = list(rng.normal(0.5, 1.0, n_t))
         nontargets = list(rng.normal(-0.5, 1.0, n_n))
-        scores = [TrialScore("e", f"t{i}", s, True) for i, s in enumerate(targets)]
-        scores += [TrialScore("e", f"n{i}", s, False) for i, s in enumerate(nontargets)]
+        scores = Trials(targets + nontargets, [True] * n_t + [False] * n_n)
         eer, _ = compute_eer(scores)
         worst_eer = max(worst_eer, abs(eer - _brute_force_eer(targets, nontargets)))
         dcf = compute_min_dcf(scores, params)
         worst_dcf = max(worst_dcf, abs(dcf - _brute_force_min_dcf(targets, nontargets, params)))
 
-    perfect = [TrialScore("e", "a", 0.9, True), TrialScore("e", "b", 0.1, False)]
+    perfect = Trials([0.9, 0.1], [True, False])
     eer_perfect, _ = compute_eer(perfect)
     dcf_perfect = compute_min_dcf(perfect, params)
-    blind = [
-        TrialScore("e", "a", 0.5, True),
-        TrialScore("e", "b", 0.3, True),
-        TrialScore("e", "c", 0.5, False),
-        TrialScore("e", "d", 0.3, False),
-    ]
+    blind = Trials([0.5, 0.3, 0.5, 0.3], [True, True, False, False])
     dcf_blind = compute_min_dcf(blind, params)
 
     elapsed = time.perf_counter() - start

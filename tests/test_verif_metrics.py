@@ -1,6 +1,9 @@
 """Tests for cosine scoring, EER, and minDCF."""
 
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from chebymargin.verif_metrics import (
     DcfParams,
-    TrialScore,
+    Trials,
     compute_eer,
     compute_min_dcf,
     cosine_score,
@@ -18,9 +21,37 @@ from chebymargin.verif_metrics import (
 
 
 def make_scores(targets, nontargets):
-    trials = [TrialScore("e", f"t{i}", s, True) for i, s in enumerate(targets)]
-    trials += [TrialScore("e", f"n{i}", s, False) for i, s in enumerate(nontargets)]
-    return trials
+    return Trials(
+        list(targets) + list(nontargets), [True] * len(targets) + [False] * len(nontargets)
+    )
+
+
+def reference_join(trial_file, scores_file):
+    """Oracle: the join line by line, as ``(scores, is_target)`` lists.
+
+    Assumes well-formed input; any problem raises ``ValueError`` without
+    the diagnostics of ``parse_trials``.
+    """
+    score_map = {}
+    with open(scores_file, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                enroll, test, raw = line.split()
+                if (enroll, test) in score_map:
+                    raise ValueError("duplicate score")
+                score_map[(enroll, test)] = float(raw)
+    scores, is_target = [], []
+    seen = set()
+    with open(trial_file, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                label, enroll, test = line.split()
+                if label not in ("0", "1") or (enroll, test) in seen:
+                    raise ValueError("bad label or duplicate trial")
+                seen.add((enroll, test))
+                scores.append(score_map[(enroll, test)])
+                is_target.append(label == "1")
+    return scores, is_target
 
 
 def brute_force_sweep(targets, nontargets):
@@ -191,10 +222,23 @@ class TestMinDcf:
             DcfParams(c_miss=-1.0)
 
 
-class TestTrialScore:
+class TestTrials:
     def test_rejects_non_finite_score(self):
         with pytest.raises(ValueError):
-            TrialScore("a", "b", float("nan"), True)
+            Trials([0.5, float("nan")], [True, False])
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError, match="one length"):
+            Trials([0.5, 0.1], [True])
+        with pytest.raises(ValueError, match="1-D"):
+            Trials([[0.5]], [[True]])
+
+    def test_rejects_non_boolean_labels(self):
+        with pytest.raises(ValueError, match="boolean"):
+            Trials([0.5], [0.7])
+
+    def test_len_counts_trials(self):
+        assert len(make_scores([0.9, 0.8], [0.1])) == 3
 
 
 class TestParseTrials:
@@ -208,16 +252,16 @@ class TestParseTrials:
             self.write(tmp_path, "t.txt", "1 spk1 utt1\n"),
             self.write(tmp_path, "s.txt", "spk1 utt1 0.75\n"),
         )
-        assert trials == [TrialScore("spk1", "utt1", 0.75, True)]
+        assert trials.scores.tolist() == [0.75]
+        assert trials.is_target.tolist() == [True]
 
     def test_order_preserving_join(self, tmp_path):
         trials = parse_trials(
             self.write(tmp_path, "t.txt", "1 a x\n0 b y\n1 c z\n"),
             self.write(tmp_path, "s.txt", "c z 0.3\na x 0.1\nb y 0.2\n"),
         )
-        assert [t.enroll_id for t in trials] == ["a", "b", "c"]
-        assert [t.score for t in trials] == [0.1, 0.2, 0.3]
-        assert [t.is_target for t in trials] == [True, False, True]
+        assert trials.scores.tolist() == [0.1, 0.2, 0.3]
+        assert trials.is_target.tolist() == [True, False, True]
 
     def test_missing_score_names_pair_and_line(self, tmp_path):
         with pytest.raises(ValueError, match=r"t\.txt:2.*\(b, y\)"):
@@ -244,3 +288,96 @@ class TestParseTrials:
                 self.write(tmp_path, "t.txt", "1 a x\n"),
                 self.write(tmp_path, "s.txt", "a x notanumber\n"),
             )
+
+    def test_non_finite_score_names_line(self, tmp_path):
+        for raw in ("nan", "inf", "-Infinity"):
+            with pytest.raises(ValueError, match=rf"s\.txt:2: score must be finite, got '{raw}'"):
+                parse_trials(
+                    self.write(tmp_path, "t.txt", "1 a x\n"),
+                    self.write(tmp_path, "s.txt", f"a x 0.1\nb y {raw}\n"),
+                )
+
+    def test_duplicate_trial_rejected_with_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"t\.txt:4: duplicate trial pair \(a, x\), first on line 1"):
+            parse_trials(
+                self.write(tmp_path, "t.txt", "1 a x\n0 b y\n\n1 a x\n"),
+                self.write(tmp_path, "s.txt", "a x 0.1\nb y 0.2\n"),
+            )
+
+
+IDS = st.text(alphabet="abXY09/._-", min_size=1, max_size=5)
+GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+EDGES = st.sampled_from(["", " ", "\t"])
+BLANKS = st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)
+LINE_STYLES = st.tuples(BLANKS, EDGES, GAPS, GAPS, EDGES)
+SCORE_FORMATS = st.sampled_from([repr, "{:.4f}".format, "{:e}".format])
+
+
+def fixed_size(strategy, n):
+    return st.lists(strategy, min_size=n, max_size=n)
+
+
+def render(data, rows):
+    """Lines with random field separators and padding, and random blank
+    or whitespace-only lines interleaved."""
+    lines = []
+    for (e, t, v), (blanks, lead, gap1, gap2, trail) in zip(
+        rows, data.draw(fixed_size(LINE_STYLES, len(rows)))
+    ):
+        lines += blanks
+        lines.append(lead + e + gap1 + t + gap2 + v + trail)
+    return lines
+
+
+def trial_files(data):
+    """Line lists of a valid trial file and score file: distinct pairs,
+    score lines shuffled and padded with scores no trial uses."""
+    pairs = data.draw(st.lists(st.tuples(IDS, IDS), unique=True, max_size=15))
+    used = data.draw(fixed_size(st.booleans(), len(pairs)))
+    labels = data.draw(fixed_size(st.sampled_from("01"), len(pairs)))
+    values = data.draw(fixed_size(st.floats(-1e6, 1e6, allow_nan=False), len(pairs)))
+    fmt = data.draw(SCORE_FORMATS)
+    score_rows = data.draw(st.permutations([(e, t, fmt(v)) for (e, t), v in zip(pairs, values)]))
+    trial_rows = [(label, e, t) for (e, t), label, u in zip(pairs, labels, used) if u]
+    return render(data, trial_rows), render(data, score_rows)
+
+
+def write_lines(data, directory, name, lines):
+    path = os.path.join(directory, name)
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + end for line in lines))
+    return path
+
+
+class TestParseTrialsProperties:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_join(self, data):
+        trial_lines, score_lines = trial_files(data)
+        with tempfile.TemporaryDirectory() as directory:
+            t = write_lines(data, directory, "t.txt", trial_lines)
+            s = write_lines(data, directory, "s.txt", score_lines)
+            trials = parse_trials(t, s)
+            scores, is_target = reference_join(t, s)
+        assert trials.scores.tolist() == scores
+        assert trials.is_target.tolist() == is_target
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wrong_field_count_names_its_line(self, data):
+        """One or two lines of 2 or 4 fields, possibly adjacent so the token
+        total stays a multiple of 3: the first one is reported."""
+        trial_lines, score_lines = trial_files(data)
+        in_trials = data.draw(st.booleans())
+        lines = trial_lines if in_trials else score_lines
+        for _ in range(data.draw(st.integers(1, 2))):
+            fields = data.draw(st.lists(IDS, min_size=2, max_size=4).filter(lambda f: len(f) != 3))
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(fields))
+        lineno = next(i for i, line in enumerate(lines, start=1) if len(line.split()) not in (0, 3))
+        with tempfile.TemporaryDirectory() as directory:
+            t = write_lines(data, directory, "t.txt", trial_lines)
+            s = write_lines(data, directory, "s.txt", score_lines)
+            bad = t if in_trials else s
+            with pytest.raises(ValueError, match=rf"^{re.escape(bad)}:{lineno}: expected"):
+                parse_trials(t, s)
