@@ -6,9 +6,9 @@ This module builds its truncated Chebyshev expansion
 
     f(x, m) = sum_{k=0..n} a_k T_k(x)
 
-with closed-form coefficients, evaluates it with Clenshaw's recurrence,
-and provides the analytic first and second derivatives of the truncated
-series together with a grid Lipschitz constant and a uniform error bound.
+with closed-form coefficients and evaluates it, together with its analytic
+first and second derivatives, through one even-form Clenshaw kernel.  It
+also provides a grid Lipschitz constant and a uniform error bound.
 
 All functions are pure and accept either a scalar or an ndarray for the
 evaluation point; arrays are processed elementwise.
@@ -25,10 +25,6 @@ import numpy as np
 # exactly on |x| = 1 are evaluated at 1 - COS_EDGE_EPS instead.
 COS_EDGE_EPS = 1e-7
 
-# Switch point between the closed trig form of the series Hessian and the
-# polynomial recurrence form, which stays well conditioned at the endpoints.
-HESSIAN_ENDPOINT_SWITCH = 1e-6
-
 
 @dataclass
 class ChebyshevSeries:
@@ -42,7 +38,8 @@ class ChebyshevSeries:
         Highest coefficient index ``n``; the series holds ``n + 1``
         coefficients ``a_0 .. a_n``.
     coefficients : ndarray
-        The coefficients, ``coefficients[k] == a_k``.
+        The coefficients, ``coefficients[k] == a_k``.  Every odd coefficient
+        above index 1 must be zero, as it is for the margin transform.
     """
 
     margin: float
@@ -56,6 +53,10 @@ class ChebyshevSeries:
                 f"series of degree {self.degree} needs {self.degree + 1} "
                 f"coefficients, got shape {self.coefficients.shape}"
             )
+        odd = np.flatnonzero(self.coefficients[3::2])
+        if odd.size:
+            k = 3 + 2 * int(odd[0])
+            raise ValueError(f"odd coefficient a_{k} must be 0, got {self.coefficients[k]}")
 
 
 def _validate_eval_point(x) -> tuple[np.ndarray, bool]:
@@ -129,22 +130,44 @@ def cheb_U(k: int, x):
     return _maybe_scalar(u_cur, scalar)
 
 
-def _clenshaw_t(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of ``sum_k coeffs[k] T_k(x)``."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(len(coeffs) - 1, 0, -1):
-        b1, b2 = coeffs[k] + 2.0 * x * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
+def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative of ``sum_k a_k T_k(x)``, odd ``a_k`` above 1 being 0.
+
+    With ``c_j = a_{2j}`` and ``y = 2x^2 - 1``, ``T_{2j}(x) = T_j(y)`` gives
+    ``f = a_1 x + g(y)`` with ``g = sum_j c_j T_j``, and ``f' = a_1 + 4x g'(y)``
+    with ``g' = sum_j j c_j U_{j-1}``.  One backward recurrence
+    ``b_j = col_j + 2y b_{j+1} - b_{j+2}`` over the stacked rows
+    ``[c_j, j c_j]`` sums the T-series of ``g`` (row 0) and the U-series of
+    ``g'`` (row 1) together, in half as many steps as ``a`` has entries.
+    """
+    a1 = a[1] if len(a) > 1 else 0.0
+    c = a[0::2]
+    cols = np.array([c, np.arange(len(c)) * c]).T.reshape((len(c), 2) + (1,) * x.ndim)
+    # 2y for both rows, so the hot loop runs without broadcasting.
+    two_y = np.empty((2,) + x.shape)
+    two_y[...] = 4.0 * x * x - 2.0
+    b1 = np.zeros_like(two_y)
+    b2 = np.zeros_like(two_y)
+    work = np.empty_like(two_y)
+    for col in cols[:0:-1]:
+        np.multiply(two_y, b1, out=work)
+        work -= b2
+        work += col
+        b2, b1, work = b1, work, b2
+    value = a1 * x + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
+    return value, a1 + 4.0 * x * b1[1]
 
 
-def _clenshaw_u(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of ``sum_k coeffs[k] U_k(x)``."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(len(coeffs) - 1, -1, -1):
-        b1, b2 = coeffs[k] + 2.0 * x * b1 - b2, b1
-    return b1
+def series_value_and_derivative(series: ChebyshevSeries, x):
+    """Value and first derivative of the truncated series, in one pass.
+
+    Both come from the same even-form Clenshaw recurrence, whose derivative
+    is a second-kind series that stays finite on the closed interval,
+    endpoints included.  A scalar ``x`` gives a pair of floats.
+    """
+    arr, scalar = _validate_eval_point(x)
+    value, deriv = _even_clenshaw(series.coefficients, arr)
+    return _maybe_scalar(value, scalar), _maybe_scalar(deriv, scalar)
 
 
 def clenshaw_eval(series: ChebyshevSeries, x):
@@ -154,8 +177,7 @@ def clenshaw_eval(series: ChebyshevSeries, x):
     deterministic for fixed inputs and agrees with the naive
     ``sum a_k T_k(x)`` to rounding error.
     """
-    arr, scalar = _validate_eval_point(x)
-    return _maybe_scalar(_clenshaw_t(series.coefficients, arr), scalar)
+    return series_value_and_derivative(series, x)[0]
 
 
 def exact_psi(x, margin: float):
@@ -217,46 +239,22 @@ def _derivative_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
 
 def series_derivative(series: ChebyshevSeries, x):
-    """First derivative of the truncated series.
-
-    Uses ``T_k' = k U_{k-1}``, so the value is a second-kind series
-    ``sum_k k a_k U_{k-1}(x)`` evaluated by the U-form Clenshaw recurrence,
-    which stays finite on the closed interval including both endpoints.
-    """
-    arr, scalar = _validate_eval_point(x)
-    a = series.coefficients
-    u_coeffs = np.arange(1, len(a)) * a[1:]
-    return _maybe_scalar(_clenshaw_u(u_coeffs, arr), scalar)
+    """First derivative of the truncated series; see
+    :func:`series_value_and_derivative`."""
+    return series_value_and_derivative(series, x)[1]
 
 
 def series_hessian(series: ChebyshevSeries, x):
     """Second derivative of the truncated series, finite on all of [-1, 1].
 
-    In the interior the closed form
-
-        f''(x) = (x f'(x) - sum_k k^2 a_k T_k(x)) / (1 - x^2)
-
-    is used (it is the ``T_k``/``U_k`` trig form with the U-series summed).
-    That expression is 0/0 at the endpoints, so within
-    ``HESSIAN_ENDPOINT_SWITCH`` of ``|x| = 1`` the twice-differentiated
-    coefficient series is evaluated instead; the truncated series is a
-    polynomial, so its second derivative is finite everywhere.
+    The twice-differentiated coefficients form an even series (its ``a_1``
+    is 0), evaluated by the same Clenshaw kernel everywhere; the truncated
+    series is a polynomial, so its second derivative has no singularity at
+    the endpoints.
     """
     arr, scalar = _validate_eval_point(x)
-    arr = np.atleast_1d(arr)
-    a = series.coefficients
-    near_edge = np.abs(arr) > 1.0 - HESSIAN_ENDPOINT_SWITCH
-
-    out = np.empty_like(arr)
-    if np.any(~near_edge):
-        xi = arr[~near_edge]
-        k2a = np.arange(len(a)) ** 2 * a
-        numer = xi * _clenshaw_u(np.arange(1, len(a)) * a[1:], xi) - _clenshaw_t(k2a, xi)
-        out[~near_edge] = numer / (1.0 - xi * xi)
-    if np.any(near_edge):
-        d2 = _derivative_coefficients(_derivative_coefficients(a))
-        out[near_edge] = _clenshaw_t(d2, arr[near_edge])
-    return _maybe_scalar(out[0] if scalar else out, scalar)
+    d2 = _derivative_coefficients(_derivative_coefficients(series.coefficients))
+    return _maybe_scalar(_even_clenshaw(d2, arr)[0], scalar)
 
 
 def lipschitz_constant(series: ChebyshevSeries, grid_points: int = 100001) -> float:

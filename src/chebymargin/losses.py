@@ -22,6 +22,10 @@ import numpy as np
 from . import cheby_core
 from .cheby_core import COS_EDGE_EPS
 
+# Series built for distinct (margin, degree) pairs are cached up to this
+# many; a margin schedule that visits new margins every step stays bounded.
+SERIES_CACHE_SIZE = 128
+
 
 class LossKind(enum.Enum):
     """The supported target-logit transforms."""
@@ -52,6 +56,9 @@ class LossSpec:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
+        angular = self.kind in (LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM)
+        if angular and not self.margin < math.pi / 2:
+            raise ValueError(f"angular margin must be in [0, pi/2), got {self.margin}")
         if self.kind is LossKind.A_SOFTMAX:
             if self.margin < 1 or self.margin != int(self.margin):
                 raise ValueError(
@@ -70,7 +77,7 @@ class CosineBatch:
 
     def __post_init__(self):
         self.cosines = np.asarray(self.cosines, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _integer_labels(self.labels)
         if self.cosines.ndim != 2:
             raise ValueError("cosines must be a [batch x classes] matrix")
         if not np.all(np.abs(self.cosines) <= 1.0):
@@ -80,6 +87,18 @@ class CosineBatch:
         n_classes = self.cosines.shape[1]
         if self.labels.size and not np.all((self.labels >= 0) & (self.labels < n_classes)):
             raise ValueError(f"labels must lie in [0, {n_classes})")
+
+
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int array; a non-integral value is an error, not truncated."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind in "iu":
+        return arr.astype(int, copy=False)
+    values = arr.astype(float)
+    integral = np.isfinite(values) & (values == np.trunc(values))
+    if not np.all(integral):
+        raise ValueError(f"labels must be integers, got {arr.flat[np.argmin(integral)]}")
+    return values.astype(int)
 
 
 @dataclass
@@ -104,7 +123,7 @@ class GradCheckReport:
         return bool(self.large_grad_entries)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
 def _series(margin: float, degree: int) -> cheby_core.ChebyshevSeries:
     return cheby_core.coefficients(margin, degree)
 
@@ -135,11 +154,7 @@ def _target_transform(spec: LossSpec, x: np.ndarray):
             cheby_core.exact_psi(x, spec.margin),
             cheby_core.exact_psi_grad(x, spec.margin),
         )
-    series = _series(spec.margin, spec.degree)
-    return (
-        cheby_core.clenshaw_eval(series, x),
-        cheby_core.series_derivative(series, x),
-    )
+    return cheby_core.series_value_and_derivative(_series(spec.margin, spec.degree), x)
 
 
 def transform_target_logit(spec: LossSpec, x):
@@ -173,24 +188,25 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     target_cos = cosines[rows, labels]
     psi, dpsi = _target_transform(spec, target_cos)
 
-    logits = spec.scale * cosines
-    logits[rows, labels] = spec.scale * psi
-    logits_max = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - logits_max)
-    denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
+    # One B x C buffer holds the logits, then their exponentials, then the
+    # gradient.
+    target_logit = spec.scale * psi
+    work = spec.scale * cosines
+    work[rows, labels] = target_logit
+    logits_max = work.max(axis=1)
+    work -= logits_max[:, None]
+    np.exp(work, out=work)
+    denom = work.sum(axis=1)
+    work[rows, labels] = 0.0
+    nontarget_mass = work.sum(axis=1) / denom
 
-    exp_nontarget = exp.copy()
-    exp_nontarget[rows, labels] = 0.0
-    nontarget_mass = exp_nontarget.sum(axis=1) / denom[:, 0]
-
-    per_sample = np.log(denom[:, 0]) - (logits[rows, labels] - logits_max[:, 0])
-    grad = spec.scale * probs
-    grad[rows, labels] = -spec.scale * dpsi * nontarget_mass
+    per_sample = np.log(denom) - (target_logit - logits_max)
+    work *= spec.scale / denom[:, None]
+    work[rows, labels] = -spec.scale * dpsi * nontarget_mass
     return LossOutput(
         per_sample_loss=per_sample,
         mean_loss=float(np.mean(per_sample)),
-        grad_cosines=grad,
+        grad_cosines=work,
     )
 
 

@@ -14,6 +14,7 @@ from chebymargin.cheby_core import (
     coefficients,
     lipschitz_constant,
 )
+from chebymargin import losses
 from chebymargin.losses import (
     CosineBatch,
     LossKind,
@@ -60,6 +61,26 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec(LossKind.CHEBY_AAM, degree=0)
 
+    @pytest.mark.parametrize("kind", [LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM])
+    @pytest.mark.parametrize("margin", [2.0, math.pi / 2, math.nan])
+    def test_angular_margin_below_half_pi(self, kind, margin):
+        """An angular margin of pi/2 or more is rejected when the spec is
+        built, not accepted (AAM) or failed later in loss_forward (ChebyAAM)."""
+        with pytest.raises(ValueError, match=rf"\[0, pi/2\), got {margin}"):
+            LossSpec(kind, margin=margin)
+        LossSpec(kind, margin=math.pi / 2 - 1e-9)
+
+
+class TestSeriesCache:
+    def test_bounded_under_many_margins(self):
+        """A margin schedule visiting thousands of margins keeps the series
+        cache at its fixed size."""
+        for i in range(3000):
+            transform_target_logit(LossSpec(LossKind.CHEBY_AAM, margin=0.1 + i * 1e-4), 0.5)
+        info = losses._series.cache_info()
+        assert info.maxsize == losses.SERIES_CACHE_SIZE
+        assert 0 < info.currsize <= losses.SERIES_CACHE_SIZE
+
 
 class TestCosineBatch:
     def test_rejects_out_of_range(self):
@@ -73,6 +94,17 @@ class TestCosineBatch:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             CosineBatch(np.array([[0.5, 0.2]]), np.array([2]))
+
+    @pytest.mark.parametrize("label", [0.7, -0.5, math.nan, math.inf])
+    def test_rejects_non_integral_label(self, label):
+        """A fractional label is an error naming the value, not label 0."""
+        with pytest.raises(ValueError, match=f"labels must be integers, got {label}"):
+            CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), [1, label])
+
+    def test_integral_float_labels_become_ints(self):
+        batch = CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), [1.0, 0.0])
+        assert batch.labels.dtype.kind == "i"
+        assert batch.labels.tolist() == [1, 0]
 
 
 class TestTransform:
