@@ -12,6 +12,7 @@ Writes, into --outdir:
 import argparse
 import os
 
+from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
 from chebymargin.losses import LossKind, LossSpec
 
@@ -53,8 +54,7 @@ def main():
             lines.append(
                 f"{scale:g},{spec.kind.value},{gap.grad_a!r},{gap.grad_b!r},{gap.ratio!r}"
             )
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines_atomic(sweep_path, lines)
     print(f"wrote {sweep_path}")
 
 

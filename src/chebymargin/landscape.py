@@ -7,12 +7,13 @@ written atomically (temp file, then rename).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import cheby_core
+from .fileio import write_lines_atomic
 from .losses import LossSpec, binary_derivative_surface, binary_grad_target
 
 # The exact second derivative grows like (1 - x^2)^{-3/2}; within this
@@ -50,17 +51,6 @@ class GapReport:
     ratio: float
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _cell(value: float) -> str:
-    return "" if np.isnan(value) else repr(float(value))
-
-
 def export_curves(
     margin: float, degrees, grid_n: int, out_path: str | None = None
 ) -> CurveBundle:
@@ -83,17 +73,19 @@ def export_curves(
     columns["psi_d2"] = psi_d2
     for degree in degrees:
         series = cheby_core.coefficients(margin, degree)
-        columns[f"cheb{degree}"] = cheby_core.clenshaw_eval(series, x)
-        columns[f"cheb{degree}_d1"] = cheby_core.series_derivative(series, x)
+        value, deriv = cheby_core.series_value_and_derivative(series, x)
+        columns[f"cheb{degree}"], columns[f"cheb{degree}_d1"] = value, deriv
         columns[f"cheb{degree}_d2"] = cheby_core.series_hessian(series, x)
 
     bundle = CurveBundle(x=x, columns=columns)
     if out_path is not None:
-        lines = ["x," + ",".join(columns)]
-        for i in range(grid_n):
-            cells = [repr(float(x[i]))] + [_cell(col[i]) for col in columns.values()]
-            lines.append(",".join(cells))
-        _atomic_write(out_path, "\n".join(lines) + "\n")
+        # Lazy per-column cells, zipped into rows as they are written; a NaN
+        # (v != v) is an empty cell.
+        cells = [map(repr, x.tolist())] + [
+            ("" if v != v else repr(v) for v in col.tolist()) for col in columns.values()
+        ]
+        rows = map(",".join, zip(*cells))
+        write_lines_atomic(out_path, chain(["x," + ",".join(columns)], rows))
     return bundle
 
 
@@ -115,15 +107,19 @@ def export_surfaces(specs, grid_n: int, out_path: str | None = None) -> SurfaceB
 
     bundle = SurfaceBundle(axis=axis, surfaces=surfaces)
     if out_path is not None:
-        lines = ["loss,s_p,s_n,dL_dsp"]
-        for label, surface in surfaces.items():
-            for i, sp in enumerate(axis):
-                for j, sn in enumerate(axis):
-                    lines.append(
-                        f"{label},{float(sp)!r},{float(sn)!r},{float(surface[i, j])!r}"
-                    )
-        _atomic_write(out_path, "\n".join(lines) + "\n")
+        write_lines_atomic(out_path, _surface_lines(axis, surfaces))
     return bundle
+
+
+def _surface_lines(axis: np.ndarray, surfaces: dict):
+    """Header, then the long-format rows; the axis cells are formatted once."""
+    yield "loss,s_p,s_n,dL_dsp"
+    axis_cells = list(map(repr, axis.tolist()))
+    for label, surface in surfaces.items():
+        for sp, row in zip(axis_cells, surface.tolist()):
+            prefix = f"{label},{sp},"
+            for sn, value in zip(axis_cells, row):
+                yield f"{prefix}{sn},{value!r}"
 
 
 def derivative_gap(spec: LossSpec) -> GapReport:

@@ -10,11 +10,12 @@ exploding arccos-path transform when target cosines approach 1.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
+from .fileio import write_lines_atomic
 from .losses import CosineBatch, LossSpec, loss_forward
 
 # Scale used by the paired stability comparison.  At the classification
@@ -100,12 +101,11 @@ class TrainTelemetry:
     final_weights: np.ndarray | None = None
 
     def write_csv(self, path: str) -> None:
-        lines = [TELEMETRY_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.step},{r.lr!r},{r.mean_loss!r},{r.grad_norm!r},{r.max_target_cosine!r}"
-            )
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = (
+            f"{r.step},{r.lr!r},{r.mean_loss!r},{r.grad_norm!r},{r.max_target_cosine!r}"
+            for r in self.records
+        )
+        write_lines_atomic(path, chain([TELEMETRY_HEADER], rows))
 
     def write_summary(self, path: str) -> None:
         lines = [
@@ -115,7 +115,7 @@ class TrainTelemetry:
             f"nan_step={'' if self.nan_step is None else self.nan_step}",
             f"grad_norm_max={self.grad_norm_max!r}",
         ]
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_lines_atomic(path, lines)
 
 
 @dataclass
@@ -124,13 +124,6 @@ class InstabilityReport:
     first_exceeded_step: int | None
     nan_seen: bool
     nan_step: int | None
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:

@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from chebymargin import cheby_core
 from chebymargin.cheby_core import approx_error_bound, coefficients, lipschitz_constant
 from chebymargin.landscape import (
+    HESSIAN_BLANK_MARGIN,
     GapReport,
     derivative_gap,
     export_curves,
     export_surfaces,
 )
-from chebymargin.losses import LossKind, LossSpec
+from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
 
 
 def read_csv(path):
@@ -22,6 +24,74 @@ def read_csv(path):
         header = next(reader)
         rows = list(reader)
     return header, rows
+
+
+def oracle_cell(value) -> str:
+    return "" if np.isnan(value) else repr(float(value))
+
+
+def oracle_curves_csv(margin, degrees, grid_n) -> bytes:
+    """The curves CSV built cell by cell, each series column by its own call."""
+    x = np.linspace(-1.0, 1.0, grid_n)
+    psi_d2 = np.full_like(x, np.nan)
+    interior = np.abs(x) <= 1.0 - HESSIAN_BLANK_MARGIN
+    psi_d2[interior] = cheby_core.exact_psi_hessian(x[interior], margin)
+    columns = {
+        "psi": cheby_core.exact_psi(x, margin),
+        "psi_d1": cheby_core.exact_psi_grad(x, margin),
+        "psi_d2": psi_d2,
+    }
+    for degree in degrees:
+        series = coefficients(margin, degree)
+        columns[f"cheb{degree}"] = cheby_core.clenshaw_eval(series, x)
+        columns[f"cheb{degree}_d1"] = cheby_core.series_derivative(series, x)
+        columns[f"cheb{degree}_d2"] = cheby_core.series_hessian(series, x)
+    lines = ["x," + ",".join(columns)]
+    for i in range(grid_n):
+        cells = [repr(float(x[i]))] + [oracle_cell(col[i]) for col in columns.values()]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_surfaces_csv(specs, grid_n) -> bytes:
+    """The long-format surfaces CSV built cell by cell."""
+    lines = ["loss,s_p,s_n,dL_dsp"]
+    for spec in specs:
+        axis, surface = binary_derivative_surface(spec, grid_n)
+        for i, sp in enumerate(axis):
+            for j, sn in enumerate(axis):
+                lines.append(
+                    f"{spec.kind.value},{float(sp)!r},{float(sn)!r},{float(surface[i, j])!r}"
+                )
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestExportBytes:
+    """The streamed exports write exactly the cell-by-cell oracle's bytes."""
+
+    @pytest.mark.parametrize("margin", [0.0, 0.3])
+    @pytest.mark.parametrize("grid_n", [2, 7, 10, 4001])
+    def test_curves_match_oracle(self, tmp_path, margin, grid_n):
+        out = tmp_path / "curves.csv"
+        degrees = [1, 2, 5, 30]
+        export_curves(margin, degrees, grid_n, str(out))
+        data = out.read_bytes()
+        assert data == oracle_curves_csv(margin, degrees, grid_n)
+        if grid_n == 4001:
+            # Blank psi_d2 cells beyond the endpoints are exercised.
+            assert data.split(b"\n")[2].split(b",")[3] == b""
+
+    @pytest.mark.parametrize("margin", [0.0, 0.3])
+    @pytest.mark.parametrize("grid_n", [2, 5, 8])
+    def test_surfaces_match_oracle(self, tmp_path, margin, grid_n):
+        out = tmp_path / "surf.csv"
+        specs = [
+            LossSpec(LossKind.N_SOFTMAX, scale=32.0),
+            LossSpec(LossKind.AAM_SOFTMAX, margin=margin, scale=32.0),
+            LossSpec(LossKind.CHEBY_AAM, margin=margin, scale=4.0, degree=2),
+        ]
+        export_surfaces(specs, grid_n, str(out))
+        assert out.read_bytes() == oracle_surfaces_csv(specs, grid_n)
 
 
 class TestExportCurves:

@@ -91,6 +91,12 @@ class TestCosineBatch:
         with pytest.raises(ValueError):
             CosineBatch(np.array([[0.5, np.nan]]), np.array([0]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_with_message(self, value):
+        """The boundary check is the only finiteness check on cosines."""
+        with pytest.raises(ValueError, match=r"cosines must be finite and within \[-1, 1\]"):
+            CosineBatch(np.array([[0.5, 0.2], [value, 0.1]]), np.array([0, 1]))
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             CosineBatch(np.array([[0.5, 0.2]]), np.array([2]))
