@@ -102,34 +102,6 @@ def coefficients(margin: float, degree: int) -> ChebyshevSeries:
     return ChebyshevSeries(margin=margin, degree=degree, coefficients=a)
 
 
-def cheb_T(k: int, x):
-    """Chebyshev polynomial of the first kind via the three-term recurrence."""
-    if k < 0:
-        raise ValueError("polynomial index must be non-negative")
-    arr, scalar = _validate_eval_point(x)
-    t_prev = np.ones_like(arr)
-    if k == 0:
-        return _maybe_scalar(t_prev, scalar)
-    t_cur = arr.copy()
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, 2.0 * arr * t_cur - t_prev
-    return _maybe_scalar(t_cur, scalar)
-
-
-def cheb_U(k: int, x):
-    """Chebyshev polynomial of the second kind via the three-term recurrence."""
-    if k < 0:
-        raise ValueError("polynomial index must be non-negative")
-    arr, scalar = _validate_eval_point(x)
-    u_prev = np.ones_like(arr)
-    if k == 0:
-        return _maybe_scalar(u_prev, scalar)
-    u_cur = 2.0 * arr
-    for _ in range(k - 1):
-        u_prev, u_cur = u_cur, 2.0 * arr * u_cur - u_prev
-    return _maybe_scalar(u_cur, scalar)
-
-
 def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative of ``sum_k a_k T_k(x)``, odd ``a_k`` above 1 being 0.
 

@@ -56,42 +56,41 @@ def _print_resolved(args) -> None:
     print(f"# config {pairs}", file=sys.stderr)
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _with_config(subparsers, argv: list[str]) -> list[str]:
+    """Splice the ``--config`` file in right after the subcommand.
 
-
-def _apply_config_file(parser, subparsers, argv) -> None:
-    """Install config-file values as subparser defaults so flags win."""
+    Each ``key=value`` line becomes the flag ``--key=value``, so argparse
+    checks it like a flag and explicit flags, which come later, win.
+    """
     sub_name = next((token for token in argv if not token.startswith("-")), None)
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
+    path = None
+    for token, following in zip(argv, argv[1:] + [None]):
+        if token == "--config":
+            path = following
         elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if sub_name is None or config_path is None:
-        return
+            path = token.split("=", 1)[1]
     subparser = subparsers.choices.get(sub_name)
-    if subparser is None:
-        return
-    actions = {action.dest: action for action in subparser._actions}
-    defaults = {}
-    for key, raw in _read_config_file(config_path).items():
-        action = actions.get(key)
-        if action is None:
-            parser.error(f"unknown config key {key!r} for subcommand {sub_name!r}")
-        defaults[key] = action.type(raw) if action.type else raw
-    subparser.set_defaults(**defaults)
+    if subparser is None or path is None:
+        return argv
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        subparser.error(f"cannot read config file {path}: {exc.strerror}")
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, sep, value = (part.strip() for part in stripped.partition("="))
+        if not sep:
+            subparser.error(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        option = "--" + key.replace("_", "-")
+        if option not in subparser._option_string_actions:
+            subparser.error(f"{path}:{lineno}: unknown config key {key!r}")
+        tokens.append(f"{option}={value}")
+    sub_index = argv.index(sub_name) + 1
+    return argv[:sub_index] + tokens + argv[sub_index:]
 
 
 def _cmd_coeffs(args) -> int:
@@ -280,8 +279,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config_file(parser, subparsers, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(subparsers, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     _print_resolved(args)

@@ -44,6 +44,14 @@ class LossSpec:
     ``margin`` is radians for the angular kinds, a cosine offset for
     AM_SOFTMAX, and a positive integer multiplier for A_SOFTMAX.
     ``degree`` is only consulted for CHEBY_AAM.
+
+    AAM_SOFTMAX and CHEBY_AAM are not monotone in the target cosine: for
+    ``x < -cos(margin)`` the angle ``theta + margin`` passes ``pi``.  As ``x``
+    falls from 1, the exact transform reaches its minimum -1 at
+    ``x = -cos(margin)`` and then rises again to ``-cos(margin)`` at
+    ``x = -1``; the series inherits this.  No fallback is applied here.
+    ArcFace's "easy margin" (arXiv:1801.07698) is the known one: it applies
+    the margin only where ``x > 0``.
     """
 
     kind: LossKind

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from chebymargin.cheby_core import (
     ChebyshevSeries,
     approx_error_bound,
-    cheb_T,
-    cheb_U,
     clenshaw_eval,
     coefficients,
     exact_psi,
@@ -38,8 +36,9 @@ def quadrature_coefficient(margin, k, nodes=20000):
 
 
 def naive_series_sum(series, x):
-    """Independent oracle: direct summation of a_k T_k(x)."""
-    return sum(a_k * cheb_T(k, x) for k, a_k in enumerate(series.coefficients))
+    """Independent oracle: direct summation of a_k T_k(x), with the T_k(x)
+    columns built by numpy's Chebyshev Vandermonde matrix."""
+    return np.polynomial.chebyshev.chebvander(x, series.degree) @ series.coefficients
 
 
 class TestCoefficients:
@@ -97,43 +96,6 @@ class TestCoefficients:
             coefficients(0.3, 0)
 
 
-class TestPolynomials:
-    def test_T0_is_one(self):
-        assert cheb_T(0, 0.37) == 1.0
-
-    def test_T3_closed_form(self):
-        """T_3(x) = 4x^3 - 3x, so T_3(0.5) = -1."""
-        assert cheb_T(3, 0.5) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_T_matches_trig_definition(self):
-        assert cheb_T(7, 0.83) == pytest.approx(math.cos(7 * math.acos(0.83)), abs=1e-12)
-
-    def test_U0_is_one(self):
-        assert cheb_U(0, -0.9) == 1.0
-
-    def test_U_at_one_is_k_plus_one(self):
-        assert cheb_U(5, 1.0) == 6.0
-
-    def test_U_matches_trig_definition(self):
-        oracle = math.sin(5 * math.acos(0.3)) / math.sqrt(1 - 0.09)
-        assert cheb_U(4, 0.3) == pytest.approx(oracle, abs=1e-12)
-
-    @given(k=st.integers(min_value=0, max_value=25), x=st.floats(min_value=-0.999, max_value=0.999))
-    @settings(max_examples=100)
-    def test_recurrences_match_trig_forms(self, k, x):
-        theta = math.acos(x)
-        assert cheb_T(k, x) == pytest.approx(math.cos(k * theta), abs=1e-10)
-        assert cheb_U(k, x) == pytest.approx(
-            math.sin((k + 1) * theta) / math.sin(theta), abs=1e-8
-        )
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            cheb_T(3, 1.5)
-        with pytest.raises(ValueError):
-            cheb_U(-1, 0.5)
-
-
 class TestClenshaw:
     def test_identity_series_returns_x(self):
         series = coefficients(0.0, 12)
@@ -171,6 +133,8 @@ class TestClenshaw:
     def test_deterministic(self):
         series = coefficients(0.3, 30)
         assert clenshaw_eval(series, 0.123456) == clenshaw_eval(series, 0.123456)
+        x = np.linspace(-1.0, 1.0, 1001)
+        assert clenshaw_eval(series, x).tobytes() == clenshaw_eval(series, x).tobytes()
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
@@ -259,6 +223,33 @@ class TestExactPsi:
         oracle = math.cos(math.pi / 3) * math.cos(0.3) - math.sin(math.pi / 3) * math.sin(0.3)
         assert exact_psi(0.5, 0.3) == pytest.approx(oracle, abs=1e-14)
         assert oracle == pytest.approx(0.22174, abs=1e-5)
+        grad_oracle = math.sin(math.acos(0.5) + 0.3) / math.sqrt(1 - 0.25)
+        assert exact_psi_grad(0.5, 0.3) == pytest.approx(grad_oracle, rel=1e-12)
+        assert grad_oracle == pytest.approx(1.12596, abs=1e-5)
+        h = 1e-5
+        fd = (exact_psi(0.5 + h, 0.3) - exact_psi(0.5 - h, 0.3)) / (2 * h)
+        assert fd == pytest.approx(grad_oracle, rel=1e-8)
+
+
+class TestNonMonotoneRegion:
+    """For x < -cos m the angle theta + m passes pi, so the AAM transform
+    turns back up: both the exact and the series transform decrease there."""
+
+    @pytest.mark.parametrize("margin", [0.3, 0.5, 1.2])
+    def test_exact_turns_at_minus_cos_margin(self, margin):
+        turn = -math.cos(margin)
+        assert exact_psi(turn, margin) == pytest.approx(-1.0, abs=1e-15)
+        x = np.linspace(-1.0, 1.0, 200001)
+        values = exact_psi(x, margin)
+        assert values.min() >= -1.0
+        assert x[np.argmin(values)] == pytest.approx(turn, abs=1e-4)
+        assert exact_psi_grad(turn - 0.01, margin) < 0
+        assert exact_psi(-1.0, margin) == pytest.approx(-math.cos(margin), abs=1e-15)
+
+    @pytest.mark.parametrize("margin", [0.3, 0.5, 1.2])
+    @pytest.mark.parametrize("degree", [30, 100])
+    def test_series_decreasing_at_minus_one(self, margin, degree):
+        assert series_derivative(coefficients(margin, degree), -1.0) < 0
 
 
 class TestSeriesDerivative:
@@ -408,6 +399,11 @@ class TestErrorBound:
         )
         assert approx_error_bound(0.3, 30) == pytest.approx(0.00607, abs=1e-5)
         assert approx_error_bound(0.2, 4) == pytest.approx(0.02529, abs=1e-5)
+        # The bound is attained: at degree 2 the grid sup error meets it.
+        x = np.linspace(-1, 1, 100001)
+        err = np.max(np.abs(exact_psi(x, 0.3) - clenshaw_eval(coefficients(0.3, 2), x)))
+        assert err == pytest.approx(approx_error_bound(0.3, 2), abs=1e-4)
+        assert err == pytest.approx(0.0627, abs=1e-4)
 
     @pytest.mark.parametrize("margin", MARGINS)
     @pytest.mark.parametrize("degree", DEGREES)

@@ -191,6 +191,32 @@ class TestCliContract:
         assert code == 1
         assert "nonsense" in err
 
+    @pytest.mark.parametrize(
+        "sub, text, named",
+        [
+            ("landscape", "kind=curvs\n", "'curvs'"),
+            ("coeffs", "degree=3.5\n", "'3.5'"),
+            ("coeffs", "# run\nmargin 0.2\n", "run.cfg:2: expected key=value, got 'margin 0.2'"),
+            ("coeffs", None, "run.cfg"),
+            # argparse would expand the prefix --loss to --losses.
+            ("landscape", "loss=nsoftmax\n", "unknown config key 'loss'"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, capsys, tmp_path, sub, text, named):
+        """Config values pass the same checks as flags; every failure exits 1
+        with an argparse error naming the bad value, and writes nothing."""
+        config = tmp_path / "run.cfg"
+        out = tmp_path / "land.csv"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        out_flag = ["--out", str(out)] if sub == "landscape" else []
+        code, stdout, err = run_cli(capsys, sub, "--config", str(config), *out_flag)
+        assert code == 1
+        assert f"chebymargin {sub}: error:" in err
+        assert named in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_seed_env_variable_sets_default(self, tmp_path, monkeypatch):
         """The env seed changes the gradcheck batch; identical output
         otherwise."""
