@@ -25,6 +25,10 @@ import numpy as np
 # exactly on |x| = 1 are evaluated at 1 - COS_EDGE_EPS instead.
 COS_EDGE_EPS = 1e-7
 
+# Points per block of the Clenshaw kernel.  A block's copy of the
+# coefficient columns holds 2 * K * _CLENSHAW_BLOCK floats for K = degree // 2.
+_CLENSHAW_BLOCK = 1024
+
 
 @dataclass
 class ChebyshevSeries:
@@ -111,23 +115,43 @@ def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``b_j = col_j + 2y b_{j+1} - b_{j+2}`` over the stacked rows
     ``[c_j, j c_j]`` sums the T-series of ``g`` (row 0) and the U-series of
     ``g'`` (row 1) together, in half as many steps as ``a`` has entries.
+
+    ``x`` is taken in blocks of ``_CLENSHAW_BLOCK`` points.  The columns
+    ``col_1 .. col_K`` are copied out to the block's shape once, so no
+    operation in the recurrence broadcasts, and their size stays bounded
+    whatever the size of ``x``.  Each point's arithmetic is the same in any
+    block, so the result does not depend on the block size.
     """
     a1 = a[1] if len(a) > 1 else 0.0
     c = a[0::2]
-    cols = np.array([c, np.arange(len(c)) * c]).T.reshape((len(c), 2) + (1,) * x.ndim)
-    # 2y for both rows, so the hot loop runs without broadcasting.
-    two_y = np.empty((2,) + x.shape)
-    two_y[...] = 4.0 * x * x - 2.0
-    b1 = np.zeros_like(two_y)
-    b2 = np.zeros_like(two_y)
-    work = np.empty_like(two_y)
-    for col in cols[:0:-1]:
-        np.multiply(two_y, b1, out=work)
-        work -= b2
-        work += col
-        b2, b1, work = b1, work, b2
-    value = a1 * x + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
-    return value, a1 + 4.0 * x * b1[1]
+    k = len(c) - 1
+    flat = x.reshape(-1)
+    value = np.empty(flat.size)
+    deriv = np.empty(flat.size)
+    # col_j for j = 1..K at the block's shape; a lone zero column when K = 0,
+    # so that b_1 = b_2 = 0.
+    block_cols = np.zeros((max(k, 1), 2, min(flat.size, _CLENSHAW_BLOCK)))
+    block_cols[:k, 0] = c[1:, None]
+    block_cols[:k, 1] = (np.arange(1.0, k + 1) * c[1:])[:, None]
+    for start in range(0, flat.size, _CLENSHAW_BLOCK):
+        xb = flat[start : start + _CLENSHAW_BLOCK]
+        n = xb.size
+        cols = block_cols[:, :, :n]
+        four_x = 4.0 * xb
+        two_y = np.empty((2, n))
+        two_y[...] = four_x * xb - 2.0
+        # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
+        b1 = cols[-1].copy()
+        b2 = np.zeros((2, n))
+        work = np.empty((2, n))
+        for col in cols[-2::-1]:
+            np.multiply(two_y, b1, work)
+            np.subtract(work, b2, work)
+            np.add(work, col, work)
+            b2, b1, work = b1, work, b2
+        value[start : start + n] = a1 * xb + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
+        deriv[start : start + n] = a1 + four_x * b1[1]
+    return value.reshape(x.shape), deriv.reshape(x.shape)
 
 
 def series_value_and_derivative(series: ChebyshevSeries, x):

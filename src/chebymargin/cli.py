@@ -199,10 +199,13 @@ def _add_loss_flags(sub, default_margin=0.3):
 
 
 def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
+    # No abbreviated long options: ``--conf`` would bypass the config-file
+    # splice, and ``landscape --loss`` would be read as ``--losses``.
     parser = _Parser(
         prog="chebymargin",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -211,6 +214,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
             name,
             help=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            allow_abbrev=False,
         )
         sub.add_argument("--config", default=None, help="key=value config file")
         sub.set_defaults(func=func)

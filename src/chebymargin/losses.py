@@ -67,6 +67,10 @@ class LossSpec:
         angular = self.kind in (LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM)
         if angular and not self.margin < math.pi / 2:
             raise ValueError(f"angular margin must be in [0, pi/2), got {self.margin}")
+        # At m >= 2, x - m <= -1 for every cosine x, so the target logit
+        # can never beat a non-target one.
+        if self.kind is LossKind.AM_SOFTMAX and not self.margin < 2:
+            raise ValueError(f"AM-Softmax margin must be below 2, got {self.margin}")
         if self.kind is LossKind.A_SOFTMAX:
             if self.margin < 1 or self.margin != int(self.margin):
                 raise ValueError(
@@ -88,12 +92,13 @@ class CosineBatch:
         self.labels = _integer_labels(self.labels)
         if self.cosines.ndim != 2:
             raise ValueError("cosines must be a [batch x classes] matrix")
-        if not np.all(np.abs(self.cosines) <= 1.0):
+        # NaN propagates through max, and NaN <= 1 is false.
+        if not np.abs(self.cosines).max(initial=0.0) <= 1.0:
             raise ValueError("cosines must be finite and within [-1, 1]")
         if self.labels.shape != (self.cosines.shape[0],):
             raise ValueError("labels must hold one class index per row")
         n_classes = self.cosines.shape[1]
-        if self.labels.size and not np.all((self.labels >= 0) & (self.labels < n_classes)):
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
             raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
@@ -149,8 +154,10 @@ def _a_softmax_transform(x: np.ndarray, m: int):
 
 
 def _target_transform(spec: LossSpec, x: np.ndarray):
-    """Transformed target logit and its derivative with respect to x."""
-    x = np.asarray(x, dtype=float)
+    """Transformed target logit and its derivative with respect to x.
+
+    ``x`` is a float array with ``|x| <= 1``, already checked by the caller.
+    """
     if spec.kind is LossKind.N_SOFTMAX:
         return x, np.ones_like(x)
     if spec.kind is LossKind.AM_SOFTMAX:
@@ -162,7 +169,7 @@ def _target_transform(spec: LossSpec, x: np.ndarray):
             cheby_core.exact_psi(x, spec.margin),
             cheby_core.exact_psi_grad(x, spec.margin),
         )
-    return cheby_core.series_value_and_derivative(_series(spec.margin, spec.degree), x)
+    return cheby_core._even_clenshaw(_series(spec.margin, spec.degree).coefficients, x)
 
 
 def transform_target_logit(spec: LossSpec, x):
@@ -190,28 +197,31 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     if cosines.shape[1] < 2:
         raise ValueError("batch needs at least two classes")
 
-    rows = np.arange(cosines.shape[0])
-    target_cos = cosines[rows, labels]
-    psi, dpsi = _target_transform(spec, target_cos)
+    # Row-major positions of the target entries.
+    targets = np.arange(0, cosines.size, cosines.shape[1]) + labels
+    psi, dpsi = _target_transform(spec, cosines.take(targets))
 
-    # One B x C buffer holds the logits, then their exponentials, then the
-    # gradient.
+    # One C-ordered B x C buffer holds the logits, then their exponentials,
+    # then the gradient; ``flat`` is a view of it, so writes through it land
+    # in ``work``.
     target_logit = spec.scale * psi
-    work = spec.scale * cosines
-    work[rows, labels] = target_logit
-    logits_max = work.max(axis=1)
+    work = np.multiply(cosines, spec.scale, order="C")
+    flat = work.reshape(-1)
+    flat[targets] = target_logit
+    logits_max = np.maximum.reduce(work, 1)
     work -= logits_max[:, None]
-    np.exp(work, out=work)
-    denom = work.sum(axis=1)
-    work[rows, labels] = 0.0
-    nontarget_mass = work.sum(axis=1) / denom
+    np.exp(work, work)
+    denom = np.add.reduce(work, 1)
+    flat[targets] = 0.0
+    nontarget_mass = np.add.reduce(work, 1) / denom
 
     per_sample = np.log(denom) - (target_logit - logits_max)
     work *= spec.scale / denom[:, None]
-    work[rows, labels] = -spec.scale * dpsi * nontarget_mass
+    flat[targets] = -spec.scale * dpsi * nontarget_mass
     return LossOutput(
         per_sample_loss=per_sample,
-        mean_loss=float(np.mean(per_sample)),
+        # np.mean's own sum and division, without its dispatch.
+        mean_loss=float(np.add.reduce(per_sample) / per_sample.size),
         grad_cosines=work,
     )
 

@@ -127,7 +127,8 @@ class InstabilityReport:
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    # np.linalg.norm(matrix, axis=1, keepdims=True), by its own formula.
+    return matrix / np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
 
 
 def make_sphere_clusters(config: TrainConfig) -> SphereDataset:
@@ -172,6 +173,8 @@ def train(config: TrainConfig) -> TrainTelemetry:
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
 
+    # Row-major offset of each batch row in its B x C cosine matrix.
+    row_starts = np.arange(0, config.batch_size * config.num_classes, config.num_classes)
     telemetry = TrainTelemetry()
     step = 0
     for _ in range(config.epochs):
@@ -180,13 +183,13 @@ def train(config: TrainConfig) -> TrainTelemetry:
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            points, labels = data.points[idx], data.labels[idx]
-            cosines = np.clip(points @ weights.T, -1.0, 1.0)
+            points, labels = data.points.take(idx, axis=0), data.labels[idx]
+            cosines = (points @ weights.T).clip(-1.0, 1.0)
             out = loss_forward(config.loss, CosineBatch(cosines, labels))
 
             lr = warmup_cosine_lr(step, total_steps, config.peak_lr, config.warmup_fraction)
-            grad_norm = float(np.max(np.abs(out.grad_cosines)))
-            target_cos = cosines[np.arange(labels.size), labels]
+            grad_norm = float(np.abs(out.grad_cosines).max())
+            target_cos = cosines.take(row_starts[: labels.size] + labels)
             telemetry.records.append(
                 StepRecord(
                     step=step,
@@ -196,7 +199,9 @@ def train(config: TrainConfig) -> TrainTelemetry:
                     max_target_cosine=float(target_cos.max()),
                 )
             )
-            if not (math.isfinite(out.mean_loss) and np.all(np.isfinite(out.grad_cosines))):
+            # max propagates NaN, so grad_norm is finite exactly when every
+            # gradient entry is.
+            if not (math.isfinite(out.mean_loss) and math.isfinite(grad_norm)):
                 telemetry.nan_seen = True
                 telemetry.nan_step = step
                 break
@@ -207,7 +212,7 @@ def train(config: TrainConfig) -> TrainTelemetry:
             # overflow here is handled by the flag below, not raised
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = _unit_rows(weights - lr * velocity)
-            if not np.all(np.isfinite(weights)):
+            if not np.isfinite(weights).all():
                 telemetry.nan_seen = True
                 telemetry.nan_step = step
                 break

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebymargin import cheby_core
 from chebymargin.cheby_core import (
     ChebyshevSeries,
     approx_error_bound,
@@ -196,6 +197,24 @@ class TestEvenKernel:
         assert value.shape == deriv.shape == series_hessian(series, x).shape == (3, 4)
         np.testing.assert_array_equal(value.ravel(), flat_value)
         np.testing.assert_array_equal(deriv.ravel(), flat_deriv)
+
+    @pytest.mark.parametrize("degree", [1, 2, 30, 100])
+    def test_blocks_match_point_by_point(self, degree):
+        """Blocked evaluation gives every point the bits it gets alone: over
+        three full blocks plus a partial one, and for a 2-D input."""
+        series = coefficients(0.3, degree)
+        n = 3 * cheby_core._CLENSHAW_BLOCK + 7
+        x = np.linspace(-1.0, 1.0, n)
+        x[1::2] = np.random.default_rng(degree).uniform(-1.0, 1.0, n // 2)
+        one_by_one = np.array([series_value_and_derivative(series, xi) for xi in x.tolist()])
+        value, deriv = cheby_core._even_clenshaw(series.coefficients, x)
+        np.testing.assert_array_equal(value, one_by_one[:, 0])
+        np.testing.assert_array_equal(deriv, one_by_one[:, 1])
+        grid = x[: 7 * 300].reshape(7, 300)
+        value, deriv = cheby_core._even_clenshaw(series.coefficients, grid)
+        assert value.shape == deriv.shape == (7, 300)
+        np.testing.assert_array_equal(value.ravel(), one_by_one[: 7 * 300, 0])
+        np.testing.assert_array_equal(deriv.ravel(), one_by_one[: 7 * 300, 1])
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):

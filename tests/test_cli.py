@@ -164,6 +164,27 @@ class TestCliContract:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # A prefix of --config would skip the config file and run on defaults.
+            (["coeffs", "--conf", "CFG"], "--conf CFG"),
+            # A prefix of landscape's --losses, likely meant as train's --loss.
+            (["landscape", "--loss", "chebyaam", "--kind", "surfaces", "--out", "OUT"], "--loss"),
+        ],
+    )
+    def test_abbreviated_flag_is_rejected(self, capsys, tmp_path, argv, named):
+        """Long options must be spelled out; a prefix is an unknown flag."""
+        config = tmp_path / "run.cfg"
+        config.write_text("degree=4\n", encoding="utf-8")
+        out = tmp_path / "land.csv"
+        paths = {"CFG": str(config), "OUT": str(out)}
+        code, stdout, err = run_cli(capsys, *[paths.get(token, token) for token in argv])
+        assert code == 1
+        assert f"unrecognized arguments: {named.replace('CFG', str(config))}" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "not-a-command")
         assert code == 1

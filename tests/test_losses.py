@@ -61,6 +61,13 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec(LossKind.CHEBY_AAM, degree=0)
 
+    @pytest.mark.parametrize("margin", [2.0, 5.0, math.inf, math.nan])
+    def test_am_softmax_margin_below_two(self, margin):
+        """At m >= 2 the target logit x - m is at most -1, so it can never win."""
+        with pytest.raises(ValueError, match=rf"AM-Softmax margin must be below 2, got {margin}"):
+            LossSpec(LossKind.AM_SOFTMAX, margin=margin)
+        LossSpec(LossKind.AM_SOFTMAX, margin=1.99)
+
     @pytest.mark.parametrize("kind", [LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM])
     @pytest.mark.parametrize("margin", [2.0, math.pi / 2, math.nan])
     def test_angular_margin_below_half_pi(self, kind, margin):
@@ -238,6 +245,23 @@ class TestLossForward:
         out = loss_forward(LossSpec(LossKind.N_SOFTMAX, scale=32.0), random_batch(11))
         np.testing.assert_allclose(out.grad_cosines.sum(axis=1), 0.0, atol=1e-12)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=16),
+        classes=st.integers(min_value=2, max_value=64),
+        scale=st.floats(0.5, 100.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_n_softmax_gradient_rows_sum_to_zero_property(self, seed, rows, classes, scale):
+        """Softmax probabilities sum to 1, so each row of the N-Softmax
+        gradient, s (p - onehot), sums to 0 up to rounding, edges included."""
+        batch = random_batch(seed, rows, classes, limit=1.0)
+        edges = np.random.default_rng(seed).integers(-1, 2, batch.cosines.shape)
+        cosines = np.where(edges != 0, edges, batch.cosines)
+        spec = LossSpec(LossKind.N_SOFTMAX, scale=scale)
+        out = loss_forward(spec, CosineBatch(cosines, batch.labels))
+        assert np.max(np.abs(out.grad_cosines.sum(axis=1))) <= 1e-12 * scale
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             loss_forward(
@@ -267,6 +291,85 @@ class TestLossForward:
         target_grad = out.grad_cosines[0, 0]
         assert target_grad != 0.0
         assert target_grad == pytest.approx(-100.0 * math.exp(-180.0), rel=1e-12)
+
+
+def reference_even_clenshaw(a, x):
+    """The even-form Clenshaw kernel as first written: one pass over all
+    of ``x``, adding each coefficient column by broadcasting."""
+    a1 = a[1] if len(a) > 1 else 0.0
+    c = a[0::2]
+    cols = np.array([c, np.arange(len(c)) * c]).T.reshape((len(c), 2) + (1,) * x.ndim)
+    two_y = np.empty((2,) + x.shape)
+    two_y[...] = 4.0 * x * x - 2.0
+    b1 = np.zeros_like(two_y)
+    b2 = np.zeros_like(two_y)
+    work = np.empty_like(two_y)
+    for col in cols[:0:-1]:
+        np.multiply(two_y, b1, out=work)
+        work -= b2
+        work += col
+        b2, b1, work = b1, work, b2
+    value = a1 * x + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
+    return value, a1 + 4.0 * x * b1[1]
+
+
+def reference_loss_forward(spec, cosines, labels):
+    """``loss_forward`` as first written: (row, label) fancy indexing,
+    ndarray reductions and ``np.mean``, with the unblocked kernel."""
+    rows = np.arange(cosines.shape[0])
+    target_cos = cosines[rows, labels]
+    if spec.kind is LossKind.CHEBY_AAM:
+        a = coefficients(spec.margin, spec.degree).coefficients
+        psi, dpsi = reference_even_clenshaw(a, target_cos)
+    else:
+        psi, dpsi = losses._target_transform(spec, target_cos)
+    target_logit = spec.scale * psi
+    work = spec.scale * cosines
+    work[rows, labels] = target_logit
+    logits_max = work.max(axis=1)
+    work -= logits_max[:, None]
+    np.exp(work, out=work)
+    denom = work.sum(axis=1)
+    work[rows, labels] = 0.0
+    nontarget_mass = work.sum(axis=1) / denom
+    per_sample = np.log(denom) - (target_logit - logits_max)
+    work *= spec.scale / denom[:, None]
+    work[rows, labels] = -spec.scale * dpsi * nontarget_mass
+    return per_sample, float(np.mean(per_sample)), work
+
+
+class TestLossForwardBits:
+    """Flat target indexing and direct reductions change no output bit."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind.value)
+    @pytest.mark.parametrize("shape", [(1, 2), (64, 16), (256, 1211), (2100, 2)])
+    def test_matches_reference_formula(self, spec, shape):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        cosines = rng.uniform(-1.0, 1.0, shape)
+        labels = rng.integers(0, shape[1], shape[0])
+        # Exact edge cosines, on target and non-target entries alike.
+        cosines[rng.random(shape) < 0.1] = 1.0
+        cosines[rng.random(shape) < 0.1] = -1.0
+        cosines[0, labels[0]] = 1.0
+        cosines[-1, labels[-1]] = -1.0
+        out = loss_forward(spec, CosineBatch(cosines, labels))
+        per_sample, mean_loss, grad = reference_loss_forward(spec, cosines.copy(), labels)
+        np.testing.assert_array_equal(out.per_sample_loss, per_sample)
+        assert out.mean_loss == mean_loss
+        np.testing.assert_array_equal(out.grad_cosines, grad)
+
+    def test_non_contiguous_cosines(self):
+        """Targets are addressed row-major in a fresh buffer, whatever the
+        memory layout of the batch."""
+        rng = np.random.default_rng(3)
+        cosines = np.asfortranarray(rng.uniform(-1.0, 1.0, (40, 9)))
+        labels = rng.integers(0, 9, 40)
+        strided = cosines[:, ::2]
+        for spec in ALL_SPECS:
+            out = loss_forward(spec, CosineBatch(strided, labels % 5))
+            per_sample, _, grad = reference_loss_forward(spec, strided.copy(), labels % 5)
+            np.testing.assert_array_equal(out.per_sample_loss, per_sample)
+            np.testing.assert_array_equal(out.grad_cosines, grad)
 
 
 class TestGradCheck:
