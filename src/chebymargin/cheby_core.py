@@ -8,7 +8,8 @@ This module builds its truncated Chebyshev expansion
 
 with closed-form coefficients and evaluates it, together with its analytic
 first and second derivatives, through one even-form Clenshaw kernel.  It
-also provides a grid Lipschitz constant and a uniform error bound.
+also provides the exact Lipschitz constant ``f'(1)`` and a uniform error
+bound.
 
 All functions are pure and accept either a scalar or an ndarray for the
 evaluation point; arrays are processed elementwise.
@@ -64,10 +65,11 @@ class ChebyshevSeries:
 
 
 def _validate_eval_point(x) -> tuple[np.ndarray, bool]:
-    """Return ``x`` as a float array, rejecting anything outside [-1, 1]."""
+    """Return ``x`` as a float array; an error names its first NaN or value outside [-1, 1]."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0):
-        raise ValueError("evaluation point must satisfy |x| <= 1")
+    inside = np.abs(arr) <= 1.0
+    if not inside.all():
+        raise ValueError(f"x must lie in [-1, 1], got {arr.flat[np.argmin(inside)]}")
     return arr, arr.ndim == 0
 
 
@@ -253,16 +255,16 @@ def series_hessian(series: ChebyshevSeries, x):
     return _maybe_scalar(_even_clenshaw(d2, arr)[0], scalar)
 
 
-def lipschitz_constant(series: ChebyshevSeries, grid_points: int = 100001) -> float:
-    """Max of ``|f'|`` over a uniform grid on [-1, 1], endpoints included.
+def lipschitz_constant(series: ChebyshevSeries) -> float:
+    """Exact Lipschitz constant ``sup |f'|`` on [-1, 1], which is ``f'(1)``.
 
-    For the margin series the supremum is attained at ``x = 1``, so the
-    grid value converges to the true Lipschitz constant from below.
+    For a margin in ``[0, pi/2)`` every coefficient of ``f'`` in the
+    ``T_k'`` basis is non-negative (``a_1 = cos m`` and each ``a_{2k}``), and
+    ``|T_k'(x)| <= k^2 = T_k'(1)``, so ``|f'|`` peaks at ``x = 1``.  In closed
+    form, ``f'(1) = cos m + (2 sin m / pi) 4K(K+1)/(2K+1)`` for
+    ``K = degree // 2``.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    return float(np.max(np.abs(series_derivative(series, grid))))
+    return series_derivative(series, 1.0)
 
 
 def approx_error_bound(margin: float, degree: int) -> float:

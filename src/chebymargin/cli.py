@@ -130,7 +130,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_lipschitz(args) -> int:
     series = cheby_core.coefficients(args.margin, args.degree)
-    print(f"{cheby_core.lipschitz_constant(series, args.grid)!r}")
+    print(f"{cheby_core.lipschitz_constant(series)!r}")
     return 0
 
 
@@ -237,10 +237,9 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
     sub.add_argument("--seed", type=int, default=_default_seed(), help="batch seed")
 
-    sub = add("lipschitz", _cmd_lipschitz, "grid Lipschitz constant of the series transform")
+    sub = add("lipschitz", _cmd_lipschitz, "exact Lipschitz constant f'(1) of the series transform")
     sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
     sub.add_argument("--degree", type=int, default=30, help="series degree")
-    sub.add_argument("--grid", type=int, default=100001, help="grid points on [-1, 1]")
 
     sub = add("landscape", _cmd_landscape, "export curve or surface CSV data")
     sub.add_argument("--kind", choices=["curves", "surfaces"], default="curves")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cheby_core
 from .fileio import write_lines_atomic
-from .losses import LossSpec, binary_derivative_surface, binary_grad_target
+from .losses import CosineBatch, LossSpec, binary_derivative_surface, loss_forward
 
 # The exact second derivative grows like (1 - x^2)^{-3/2}; within this
 # distance of the domain edge its CSV cells are left empty.
@@ -38,8 +38,6 @@ class SurfaceBundle:
 
     axis: np.ndarray
     surfaces: dict
-    point_a: tuple = POINT_A
-    point_b: tuple = POINT_B
 
 
 @dataclass
@@ -63,6 +61,8 @@ def export_curves(
     """
     if grid_n < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_n}")
+    if not degrees:
+        raise ValueError("need at least one degree")
     x = np.linspace(-1.0, 1.0, grid_n)
     columns: dict = {}
     columns["psi"] = cheby_core.exact_psi(x, margin)
@@ -72,6 +72,8 @@ def export_curves(
     psi_d2[interior] = cheby_core.exact_psi_hessian(x[interior], margin)
     columns["psi_d2"] = psi_d2
     for degree in degrees:
+        if f"cheb{degree}" in columns:
+            raise ValueError(f"duplicate degree {degree} in curve export")
         series = cheby_core.coefficients(margin, degree)
         value, deriv = cheby_core.series_value_and_derivative(series, x)
         columns[f"cheb{degree}"], columns[f"cheb{degree}_d1"] = value, deriv
@@ -129,6 +131,6 @@ def derivative_gap(spec: LossSpec) -> GapReport:
     a larger ratio means the loss focuses its corrective signal on hard
     examples.
     """
-    grad_a = abs(binary_grad_target(spec, *POINT_A))
-    grad_b = abs(binary_grad_target(spec, *POINT_B))
+    out = loss_forward(spec, CosineBatch(np.array([POINT_A, POINT_B]), np.zeros(2, int)))
+    grad_a, grad_b = np.abs(out.grad_cosines[:, 0]).tolist()
     return GapReport(grad_a=grad_a, grad_b=grad_b, ratio=grad_a / grad_b)

@@ -26,6 +26,9 @@ from .cheby_core import COS_EDGE_EPS
 # many; a margin schedule that visits new margins every step stays bounded.
 SERIES_CACHE_SIZE = 128
 
+# loss_grad_check reports every analytic gradient entry above this magnitude.
+LARGE_GRAD = 100.0
+
 
 class LossKind(enum.Enum):
     """The supported target-logit transforms."""
@@ -60,8 +63,8 @@ class LossSpec:
     degree: int = 30
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.margin < 0:
             raise ValueError(f"margin must be non-negative, got {self.margin}")
         angular = self.kind in (LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM)
@@ -127,8 +130,6 @@ class GradCheckReport:
 
     max_rel_error: float
     max_abs_grad: float
-    step: float
-    flag_threshold: float
     large_grad_entries: list = field(default_factory=list)
 
     @property
@@ -174,11 +175,9 @@ def _target_transform(spec: LossSpec, x: np.ndarray):
 
 def transform_target_logit(spec: LossSpec, x):
     """Apply the target-logit margin transform of ``spec`` to cosine ``x``."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0):
-        raise ValueError("cosine must satisfy |x| <= 1")
+    arr, scalar = cheby_core._validate_eval_point(x)
     value, _ = _target_transform(spec, arr)
-    return float(value) if arr.ndim == 0 else value
+    return cheby_core._maybe_scalar(value, scalar)
 
 
 def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
@@ -226,12 +225,7 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     )
 
 
-def loss_grad_check(
-    spec: LossSpec,
-    batch: CosineBatch,
-    step: float = 1e-5,
-    flag_threshold: float = 100.0,
-) -> GradCheckReport:
+def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Each cosine entry is perturbed by ``+-step`` and the per-sample loss
@@ -239,8 +233,8 @@ def loss_grad_check(
     Rows are independent, so one forward pass per perturbed column covers
     the whole batch.  The relative error uses ``max(1, |fd|, |analytic|)``
     as denominator so that near-zero entries are judged on absolute error.
-    Entries whose analytic gradient magnitude exceeds ``flag_threshold``
-    are reported in ``large_grad_entries``.
+    Entries whose analytic gradient magnitude exceeds ``LARGE_GRAD`` are
+    reported in ``large_grad_entries``.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -259,12 +253,10 @@ def loss_grad_check(
         denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(analytic[:, col])))
         max_rel = max(max_rel, float(np.max(np.abs(fd - analytic[:, col]) / denom)))
 
-    large = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(analytic) > flag_threshold))]
+    large = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(analytic) > LARGE_GRAD))]
     return GradCheckReport(
         max_rel_error=max_rel,
         max_abs_grad=float(np.max(np.abs(analytic))),
-        step=step,
-        flag_threshold=flag_threshold,
         large_grad_entries=large,
     )
 
@@ -285,9 +277,3 @@ def binary_derivative_surface(spec: LossSpec, grid_n: int = 201):
     labels = np.zeros(cosines.shape[0], dtype=int)
     out = loss_forward(spec, CosineBatch(cosines, labels))
     return axis, out.grad_cosines[:, 0].reshape(grid_n, grid_n)
-
-
-def binary_grad_target(spec: LossSpec, s_p: float, s_n: float) -> float:
-    """``d loss / d s_p`` of the two-class loss at a single point."""
-    out = loss_forward(spec, CosineBatch(np.array([[s_p, s_n]]), np.array([0])))
-    return float(out.grad_cosines[0, 0])

@@ -47,8 +47,8 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0, 1)")
         if self.batch_size < 1:
@@ -59,8 +59,9 @@ class TrainConfig:
             raise ValueError("num_classes must be >= 2")
         if self.epochs < 0 or self.samples_per_class < 1:
             raise ValueError("epochs must be >= 0 and samples_per_class >= 1")
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
+        for name, value in (("spread", self.spread), ("momentum", self.momentum)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass
@@ -69,8 +70,6 @@ class SphereDataset:
 
     points: np.ndarray
     labels: np.ndarray
-    num_classes: int
-    seed: int
 
 
 @dataclass
@@ -118,14 +117,6 @@ class TrainTelemetry:
         write_lines_atomic(path, lines)
 
 
-@dataclass
-class InstabilityReport:
-    grad_exceeded: bool
-    first_exceeded_step: int | None
-    nan_seen: bool
-    nan_step: int | None
-
-
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     # np.linalg.norm(matrix, axis=1, keepdims=True), by its own formula.
     return matrix / np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
@@ -141,9 +132,7 @@ def make_sphere_clusters(config: TrainConfig) -> SphereDataset:
     labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
     noise = rng.standard_normal((labels.size, config.dim))
     points = _unit_rows(prototypes[labels] + config.spread * noise)
-    return SphereDataset(
-        points=points, labels=labels, num_classes=config.num_classes, seed=config.seed
-    )
+    return SphereDataset(points=points, labels=labels)
 
 
 def warmup_cosine_lr(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:
@@ -222,20 +211,3 @@ def train(config: TrainConfig) -> TrainTelemetry:
     telemetry.final_accuracy = float(np.mean(predictions == data.labels))
     telemetry.final_weights = weights
     return telemetry
-
-
-def detect_instability(telemetry: TrainTelemetry, threshold: float) -> InstabilityReport:
-    """Flag gradient norms above ``threshold`` and any NaN halt."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    first = None
-    for record in telemetry.records:
-        if record.grad_norm > threshold:
-            first = record.step
-            break
-    return InstabilityReport(
-        grad_exceeded=first is not None,
-        first_exceeded_step=first,
-        nan_seen=telemetry.nan_seen,
-        nan_step=telemetry.nan_step,
-    )

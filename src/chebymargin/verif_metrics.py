@@ -1,4 +1,4 @@
-"""Verification scoring: cosine trial scoring, EER, and minimum DCF.
+"""Verification scoring: EER and minimum DCF of scored trials.
 
 Both metrics depend only on the ordering of scores.  The threshold sweep
 walks every distinct operating point of the decision rule
@@ -60,19 +60,6 @@ class DcfParams:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
         if self.c_miss <= 0 or self.c_fa <= 0:
             raise ValueError("costs must be positive")
-
-
-def cosine_score(a, b) -> float:
-    """Cosine similarity of two embedding vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine score undefined for zero-norm input")
-    return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
 
 
 def _operating_points(trials: Trials):

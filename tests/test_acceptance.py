@@ -134,7 +134,7 @@ def test_criterion_4_bounded_versus_exploding():
     blows up approaching the edge."""
     start = time.perf_counter()
     series = coefficients(0.3, 30)
-    lip = lipschitz_constant(series, 100001)
+    lip = lipschitz_constant(series)
     exact_near = exact_psi_grad(1 - 1e-6, 0.3)
     exact_nearer = exact_psi_grad(1 - 1e-10, 0.3)
     series_near = series_derivative(series, 1 - 1e-6)

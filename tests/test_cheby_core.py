@@ -141,6 +141,13 @@ class TestClenshaw:
         with pytest.raises(ValueError):
             clenshaw_eval(coefficients(0.3, 4), 1.0001)
 
+    @pytest.mark.parametrize(
+        "x, named", [(1.5, "1.5"), (math.nan, "nan"), ([0.2, -1.25, 3.0], "-1.25")]
+    )
+    def test_out_of_domain_message_names_first_value(self, x, named):
+        with pytest.raises(ValueError, match=rf"x must lie in \[-1, 1\], got {named}$"):
+            clenshaw_eval(coefficients(0.3, 4), x)
+
 
 class TestEvenKernel:
     """The single even-form Clenshaw pass behind every series quantity."""
@@ -366,13 +373,17 @@ class TestSeriesHessian:
         assert rel.max() < 1e-5
 
 
+LIPSCHITZ_MARGINS = [0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 1.5707]
+LIPSCHITZ_DEGREES = [1, 2, 3, 4, 7, 10, 30, 31, 100, 101, 1000]
+
+
 class TestLipschitz:
     def test_identity_series(self):
-        assert lipschitz_constant(coefficients(0.0, 10), 1001) == pytest.approx(1.0)
+        assert lipschitz_constant(coefficients(0.0, 10)) == pytest.approx(1.0)
 
     def test_degree_30_attained_at_endpoint(self):
         series = coefficients(0.3, 30)
-        value = lipschitz_constant(series, 100001)
+        value = lipschitz_constant(series)
         assert value == pytest.approx(series_derivative(series, 1.0), rel=1e-12)
         assert value == pytest.approx(6.78, abs=5e-3)
 
@@ -380,14 +391,30 @@ class TestLipschitz:
         """The quadratic's derivative is a_1 + 4 a_2 x, maximal at x = 1."""
         series = coefficients(0.3, 2)
         a1, a2 = series.coefficients[1], series.coefficients[2]
-        assert lipschitz_constant(series, 100001) == pytest.approx(a1 + 4 * a2, rel=1e-12)
+        assert lipschitz_constant(series) == pytest.approx(a1 + 4 * a2, rel=1e-12)
         assert a1 + 4 * a2 == pytest.approx(1.45702, abs=1e-5)
 
-    def test_monotone_under_grid_refinement(self):
-        series = coefficients(0.3, 30)
-        coarse = lipschitz_constant(series, 101)
-        fine = lipschitz_constant(series, 10001)
-        assert fine >= coarse - 1e-12
+    @pytest.mark.parametrize("margin", LIPSCHITZ_MARGINS)
+    def test_closed_form(self, margin):
+        """Independent oracle: T_{2k}'(1) = 4k^2 and the even coefficients
+        telescope, so f'(1) = cos m + (2 sin m / pi) 4K(K+1)/(2K+1) with
+        K = degree // 2, odd degrees included."""
+        for degree in LIPSCHITZ_DEGREES:
+            k = degree // 2
+            closed = math.cos(margin) + (2 * math.sin(margin) / math.pi) * (
+                4 * k * (k + 1) / (2 * k + 1)
+            )
+            value = lipschitz_constant(coefficients(margin, degree))
+            assert value == pytest.approx(closed, rel=1e-13, abs=0), degree
+
+    @pytest.mark.parametrize("margin", LIPSCHITZ_MARGINS)
+    def test_dense_grid_never_exceeds_it(self, margin):
+        """|f'| on a dense grid stays at or below f'(1), and reaches it at x = 1."""
+        x = np.linspace(-1.0, 1.0, 20001)
+        for degree in LIPSCHITZ_DEGREES:
+            series = coefficients(margin, degree)
+            value = lipschitz_constant(series)
+            assert np.max(np.abs(series_derivative(series, x))) == value, degree
 
     def test_grows_with_degree_but_stays_finite(self):
         """Tightening the approximation (degree sweep) trades away
@@ -395,7 +422,7 @@ class TestLipschitz:
         degrees toward the exact transform's unbounded slope, yet every
         truncation stays far below the near-edge exact derivative."""
         values = [
-            lipschitz_constant(coefficients(0.3, degree), 20001)
+            lipschitz_constant(coefficients(0.3, degree))
             for degree in (2, 5, 10, 20, 30, 40, 50)
         ]
         print("  lipschitz by degree:", [round(v, 4) for v in values])
@@ -403,8 +430,9 @@ class TestLipschitz:
         assert values == sorted(values)
         assert values[-1] < exact_psi_grad(1 - 1e-6, 0.3)
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
+    def test_takes_no_grid_argument(self):
+        """The constant is exact; there is no grid size to pass."""
+        with pytest.raises(TypeError):
             lipschitz_constant(coefficients(0.3, 30), 1)
 
 
@@ -449,7 +477,7 @@ class TestBoundedVersusExploding:
         """The series transform has a small Lipschitz constant while the
         exact transform's derivative is unbounded as x -> 1."""
         series = coefficients(0.3, 30)
-        assert lipschitz_constant(series, 100001) < 10
+        assert lipschitz_constant(series) < 10
         assert exact_psi_grad(1 - 1e-6, 0.3) > 100
 
     def test_explosion_rate_contrast(self):

@@ -80,7 +80,21 @@ class TestLipschitz:
     def test_degree_30_value(self, capsys):
         code, out, _ = run_cli(capsys, "lipschitz", "--margin", "0.3", "--degree", "30")
         assert code == 0
-        assert float(out.strip()) == pytest.approx(6.78, abs=5e-3)
+        assert out == "6.781421857737604\n"
+
+    def test_grid_flag_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "lipschitz", "--grid", "101")
+        assert code == 1
+        assert "unrecognized arguments: --grid 101" in err
+        assert out == ""
+
+    def test_grid_config_key_is_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid=101\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "lipschitz", "--config", str(config))
+        assert code == 1
+        assert "unknown config key 'grid'" in err
+        assert out == ""
 
 
 class TestScore:
@@ -146,6 +160,46 @@ class TestTrainCommand:
         assert out_path.exists()
         assert (tmp_path / "telemetry.csv.summary").exists()
         assert "nan_seen=false" in out
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--peak-lr", "nan"),
+            ("--spread", "nan"),
+            ("--momentum", "nan"),
+            ("--momentum", "-3.0"),
+        ],
+    )
+    def test_train_rejects_non_finite_setting(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            capsys, "train", "--epochs", "1", flag, value, "--out", str(out_path)
+        )
+        assert code == 1
+        assert f"got {value}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--degrees", "30,30"], "duplicate degree 30"),
+            (["--degrees", "", "--margin", "5"], "need at least one degree"),
+        ],
+    )
+    def test_curves_reject_empty_or_repeated_degrees(self, capsys, tmp_path, argv, named):
+        out_path = tmp_path / "curves.csv"
+        code, out, err = run_cli(
+            capsys, "landscape", "--kind", "curves", *argv, "--out", str(out_path)
+        )
+        assert code == 1
+        assert named in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliContract:

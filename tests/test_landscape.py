@@ -10,12 +10,20 @@ from chebymargin import cheby_core
 from chebymargin.cheby_core import approx_error_bound, coefficients, lipschitz_constant
 from chebymargin.landscape import (
     HESSIAN_BLANK_MARGIN,
+    POINT_A,
+    POINT_B,
     GapReport,
     derivative_gap,
     export_curves,
     export_surfaces,
 )
-from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
+from chebymargin.losses import (
+    CosineBatch,
+    LossKind,
+    LossSpec,
+    binary_derivative_surface,
+    loss_forward,
+)
 
 
 def read_csv(path):
@@ -157,6 +165,22 @@ class TestExportCurves:
         with pytest.raises(ValueError):
             export_curves(0.3, [2], 1)
 
+    @pytest.mark.parametrize(
+        "margin, degrees, message",
+        [
+            (0.3, [], "need at least one degree"),
+            # Without a degree no coefficients() call would check the margin.
+            (5.0, [], "need at least one degree"),
+            (0.3, [30, 30], "duplicate degree 30 in curve export"),
+            (0.3, [2, 30, 2], "duplicate degree 2 in curve export"),
+        ],
+    )
+    def test_rejects_empty_or_repeated_degrees(self, tmp_path, margin, degrees, message):
+        out = tmp_path / "curves.csv"
+        with pytest.raises(ValueError, match=message):
+            export_curves(margin, degrees, 11, str(out))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExportSurfaces:
     def test_long_format_rows(self, tmp_path):
@@ -240,12 +264,24 @@ class TestDerivativeGap:
 
     def test_identical_points_give_unit_ratio(self):
         """Probing the same point for both roles degenerates to ratio 1."""
-        from chebymargin.losses import binary_grad_target
-
         for spec in (
             LossSpec(LossKind.N_SOFTMAX, scale=32.0),
             LossSpec(LossKind.CHEBY_AAM, margin=0.3, scale=32.0, degree=30),
         ):
-            grad = abs(binary_grad_target(spec, 0.8, 0.8))
+            grad = derivative_gap(spec).grad_a
             report = GapReport(grad_a=grad, grad_b=grad, ratio=grad / grad)
             assert report.ratio == 1.0
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 32.0, 64.0])
+    def test_two_row_batch_matches_one_row_calls(self, kind, scale):
+        """Scoring A and B as one 2-row batch gives the bits of two 1-row batches."""
+        margin = 2 if kind is LossKind.A_SOFTMAX else 0.3
+        spec = LossSpec(kind, margin=margin, scale=scale)
+        singles = [
+            abs(float(loss_forward(spec, CosineBatch([point], [0])).grad_cosines[0, 0]))
+            for point in (POINT_A, POINT_B)
+        ]
+        report = derivative_gap(spec)
+        assert [report.grad_a, report.grad_b] == singles
+        assert report.ratio == singles[0] / singles[1]

@@ -20,7 +20,6 @@ from chebymargin.losses import (
     LossKind,
     LossSpec,
     binary_derivative_surface,
-    binary_grad_target,
     loss_forward,
     loss_grad_check,
     transform_target_logit,
@@ -43,10 +42,21 @@ def random_batch(seed, rows=8, classes=16, limit=0.95):
     )
 
 
+def grad_target(spec, s_p, s_n):
+    """``d loss / d s_p`` of the two-class loss at one point, via loss_forward."""
+    out = loss_forward(spec, CosineBatch(np.array([[s_p, s_n]]), np.array([0])))
+    return float(out.grad_cosines[0, 0])
+
+
 class TestLossSpec:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             LossSpec(LossKind.N_SOFTMAX, scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match=rf"scale must be positive and finite, got {scale}"):
+            LossSpec(LossKind.CHEBY_AAM, scale=scale)
 
     def test_rejects_negative_margin(self):
         with pytest.raises(ValueError):
@@ -203,6 +213,16 @@ class TestTransform:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             transform_target_logit(LossSpec(LossKind.N_SOFTMAX), 1.2)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize(
+        "x, named", [(1.5, "1.5"), (math.nan, "nan"), ([0.5, -2.0, math.nan], "-2.0")]
+    )
+    def test_out_of_domain_message_names_first_value(self, kind, x, named):
+        """Every kind checks the cosine domain at one place, naming the value."""
+        margin = 2 if kind is LossKind.A_SOFTMAX else 0.3
+        with pytest.raises(ValueError, match=rf"x must lie in \[-1, 1\], got {named}$"):
+            transform_target_logit(LossSpec(kind, margin=margin), x)
 
 
 class TestLossForward:
@@ -412,20 +432,20 @@ class TestBinarySurface:
         diagonal."""
         spec = LossSpec(LossKind.N_SOFTMAX, scale=1.0)
         for c in (-0.8, 0.0, 0.63):
-            assert binary_grad_target(spec, c, c) == pytest.approx(-0.5, abs=1e-12)
+            assert grad_target(spec, c, c) == pytest.approx(-0.5, abs=1e-12)
 
     def test_shift_invariance_for_n_softmax(self):
         spec = LossSpec(LossKind.N_SOFTMAX, scale=32.0)
-        base = binary_grad_target(spec, 0.3, -0.1)
+        base = grad_target(spec, 0.3, -0.1)
         for delta in (-0.2, 0.1, 0.4):
-            assert binary_grad_target(spec, 0.3 + delta, -0.1 + delta) == pytest.approx(
+            assert grad_target(spec, 0.3 + delta, -0.1 + delta) == pytest.approx(
                 base, rel=1e-9
             )
 
     def test_hard_point_gets_larger_gradient_than_easy_point(self):
         spec = LossSpec(LossKind.CHEBY_AAM, margin=0.3, degree=30, scale=32.0)
-        hard = abs(binary_grad_target(spec, 0.8, 0.8))
-        easy = abs(binary_grad_target(spec, 0.8, 0.2))
+        hard = abs(grad_target(spec, 0.8, 0.8))
+        easy = abs(grad_target(spec, 0.8, 0.2))
         assert np.isfinite(hard) and np.isfinite(easy)
         assert hard > easy
 
@@ -447,12 +467,12 @@ class TestBinarySurface:
         target logit steps from 1-1e-6 to 1-1e-10, while the series
         gradient barely moves."""
         aam = LossSpec(LossKind.AAM_SOFTMAX, margin=0.3, scale=32.0)
-        near = abs(binary_grad_target(aam, 1 - 1e-6, 0.2))
-        nearer = abs(binary_grad_target(aam, 1 - 1e-10, 0.2))
+        near = abs(grad_target(aam, 1 - 1e-6, 0.2))
+        nearer = abs(grad_target(aam, 1 - 1e-10, 0.2))
         assert nearer > 10 * near
         cheby = LossSpec(LossKind.CHEBY_AAM, margin=0.3, degree=30, scale=32.0)
-        c_near = abs(binary_grad_target(cheby, 1 - 1e-6, 0.2))
-        c_nearer = abs(binary_grad_target(cheby, 1 - 1e-10, 0.2))
+        c_near = abs(grad_target(cheby, 1 - 1e-6, 0.2))
+        c_nearer = abs(grad_target(cheby, 1 - 1e-10, 0.2))
         assert abs(c_nearer - c_near) / c_near < 0.01
 
     def test_rejects_tiny_grid(self):

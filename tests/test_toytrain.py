@@ -12,7 +12,6 @@ from chebymargin.losses import LossKind, LossSpec
 from chebymargin.toytrain import (
     STABILITY_SCALE,
     TrainConfig,
-    detect_instability,
     make_sphere_clusters,
     train,
     warmup_cosine_lr,
@@ -69,6 +68,22 @@ class TestSphereClusters:
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             small_config(CHEBY, dim=1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("peak_lr", math.nan, "peak_lr must be positive and finite, got nan"),
+            ("peak_lr", math.inf, "peak_lr must be positive and finite, got inf"),
+            ("spread", math.nan, "spread must be non-negative and finite, got nan"),
+            ("spread", math.inf, "spread must be non-negative and finite, got inf"),
+            ("momentum", math.nan, "momentum must be non-negative and finite, got nan"),
+            ("momentum", math.inf, "momentum must be non-negative and finite, got inf"),
+            ("momentum", -3.0, "momentum must be non-negative and finite, got -3.0"),
+        ],
+    )
+    def test_rejects_non_finite_or_negative_setting(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(CHEBY, **{field: value})
 
 
 class TestWarmupCosine:
@@ -233,30 +248,3 @@ class TestTelemetryFiles:
         assert float(summary["final_accuracy"]) == telemetry.final_accuracy
         assert summary["nan_seen"] == "false"
         assert int(summary["steps"]) == len(telemetry.records)
-
-
-class TestDetectInstability:
-    def _telemetry_with_norms(self, norms):
-        from chebymargin.toytrain import StepRecord, TrainTelemetry
-
-        telemetry = TrainTelemetry()
-        for i, g in enumerate(norms):
-            telemetry.records.append(
-                StepRecord(step=i, lr=0.1, mean_loss=1.0, grad_norm=g, max_target_cosine=0.5)
-            )
-        telemetry.grad_norm_max = max(norms) if norms else 0.0
-        return telemetry
-
-    def test_quiet_run_has_no_flags(self):
-        report = detect_instability(self._telemetry_with_norms([0.0, 0.0, 0.0]), 1.0)
-        assert not report.grad_exceeded
-        assert not report.nan_seen
-
-    def test_flags_first_offending_step(self):
-        report = detect_instability(self._telemetry_with_norms([1.0, 1e6, 2e6]), 1e3)
-        assert report.grad_exceeded
-        assert report.first_exceeded_step == 1
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            detect_instability(self._telemetry_with_norms([1.0]), 0.0)

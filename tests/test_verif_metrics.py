@@ -1,4 +1,4 @@
-"""Tests for cosine scoring, EER, and minDCF."""
+"""Tests for trial parsing, EER, and minDCF."""
 
 import math
 import os
@@ -15,7 +15,6 @@ from chebymargin.verif_metrics import (
     Trials,
     compute_eer,
     compute_min_dcf,
-    cosine_score,
     parse_trials,
 )
 
@@ -90,29 +89,6 @@ def brute_force_min_dcf(targets, nontargets, params):
     fa = params.c_fa * (1.0 - params.p_target)
     best = min(miss * frr + fa * far for _, far, frr in points)
     return best / min(miss, fa)
-
-
-class TestCosineScore:
-    def test_self_similarity(self):
-        v = np.array([0.3, -1.2, 0.5])
-        assert cosine_score(v, v) == 1.0
-
-    def test_antiparallel(self):
-        v = np.array([0.3, -1.2, 0.5])
-        assert cosine_score(v, -v) == -1.0
-
-    def test_hand_value(self):
-        assert cosine_score([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-12
-        )
-
-    def test_rejects_zero_norm(self):
-        with pytest.raises(ValueError):
-            cosine_score([0.0, 0.0], [1.0, 0.0])
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_score([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestEer:
