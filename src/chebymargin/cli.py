@@ -35,10 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def _loss_spec(args) -> LossSpec:
     return LossSpec(
         kind=LossKind(args.loss),
@@ -235,7 +231,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--classes", type=int, default=16, help="columns in the random batch")
     sub.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     sub.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
-    sub.add_argument("--seed", type=int, default=_default_seed(), help="batch seed")
+    sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="batch seed")
 
     sub = add("lipschitz", _cmd_lipschitz, "exact Lipschitz constant f'(1) of the series transform")
     sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
@@ -266,7 +262,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--samples-per-class", type=int, default=200, help="points per class")
     sub.add_argument("--spread", type=float, default=0.005, help="cluster noise scale")
     sub.add_argument("--momentum", type=float, default=0.0, help="SGD momentum")
-    sub.add_argument("--seed", type=int, default=_default_seed(), help="run seed")
+    sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="run seed")
     sub.add_argument("--out", required=True, help="telemetry CSV path")
     sub.add_argument("--summary-out", default=None, help="summary path (default OUT.summary)")
 

@@ -22,10 +22,6 @@ import numpy as np
 from . import cheby_core
 from .cheby_core import COS_EDGE_EPS
 
-# Series built for distinct (margin, degree) pairs are cached up to this
-# many; a margin schedule that visits new margins every step stays bounded.
-SERIES_CACHE_SIZE = 128
-
 # loss_grad_check reports every analytic gradient entry above this magnitude.
 LARGE_GRAD = 100.0
 
@@ -82,10 +78,15 @@ class LossSpec:
         if self.kind is LossKind.CHEBY_AAM and self.degree < 1:
             raise ValueError(f"series degree must be >= 1, got {self.degree}")
 
+    @functools.cached_property
+    def series(self) -> cheby_core.ChebyshevSeries:
+        """The CHEBY_AAM series of ``margin`` and ``degree``, built on first use."""
+        return cheby_core.coefficients(self.margin, self.degree)
+
 
 @dataclass
 class CosineBatch:
-    """A batch of per-class cosine similarities with ground-truth labels."""
+    """A non-empty batch of per-class cosine similarities with ground-truth labels."""
 
     cosines: np.ndarray
     labels: np.ndarray
@@ -95,13 +96,17 @@ class CosineBatch:
         self.labels = _integer_labels(self.labels)
         if self.cosines.ndim != 2:
             raise ValueError("cosines must be a [batch x classes] matrix")
+        if self.cosines.size == 0:
+            raise ValueError("batch must not be empty")
+        n_classes = self.cosines.shape[1]
+        if n_classes < 2:
+            raise ValueError("batch needs at least two classes")
         # NaN propagates through max, and NaN <= 1 is false.
-        if not np.abs(self.cosines).max(initial=0.0) <= 1.0:
+        if not np.abs(self.cosines).max() <= 1.0:
             raise ValueError("cosines must be finite and within [-1, 1]")
         if self.labels.shape != (self.cosines.shape[0],):
             raise ValueError("labels must hold one class index per row")
-        n_classes = self.cosines.shape[1]
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
+        if self.labels.min() < 0 or self.labels.max() >= n_classes:
             raise ValueError(f"labels must lie in [0, {n_classes})")
 
 
@@ -122,6 +127,7 @@ class LossOutput:
     per_sample_loss: np.ndarray
     mean_loss: float
     grad_cosines: np.ndarray
+    target_cosines: np.ndarray
 
 
 @dataclass
@@ -135,11 +141,6 @@ class GradCheckReport:
     @property
     def has_large_grad(self) -> bool:
         return bool(self.large_grad_entries)
-
-
-@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
-def _series(margin: float, degree: int) -> cheby_core.ChebyshevSeries:
-    return cheby_core.coefficients(margin, degree)
 
 
 def _a_softmax_transform(x: np.ndarray, m: int):
@@ -170,7 +171,7 @@ def _target_transform(spec: LossSpec, x: np.ndarray):
             cheby_core.exact_psi(x, spec.margin),
             cheby_core.exact_psi_grad(x, spec.margin),
         )
-    return cheby_core._even_clenshaw(_series(spec.margin, spec.degree).coefficients, x)
+    return cheby_core._even_clenshaw(spec.series.coefficients, x)
 
 
 def transform_target_logit(spec: LossSpec, x):
@@ -190,15 +191,11 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     column is ``-s * psi'(x_y) * sum_{j != y} p_j`` with the non-target
     probability mass summed directly so it survives heavy saturation.
     """
-    cosines, labels = batch.cosines, batch.labels
-    if cosines.size == 0:
-        raise ValueError("batch must not be empty")
-    if cosines.shape[1] < 2:
-        raise ValueError("batch needs at least two classes")
-
+    cosines = batch.cosines
     # Row-major positions of the target entries.
-    targets = np.arange(0, cosines.size, cosines.shape[1]) + labels
-    psi, dpsi = _target_transform(spec, cosines.take(targets))
+    targets = np.arange(0, cosines.size, cosines.shape[1]) + batch.labels
+    target_cosines = cosines.take(targets)
+    psi, dpsi = _target_transform(spec, target_cosines)
 
     # One C-ordered B x C buffer holds the logits, then their exponentials,
     # then the gradient; ``flat`` is a view of it, so writes through it land
@@ -222,14 +219,16 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
         # np.mean's own sum and division, without its dispatch.
         mean_loss=float(np.add.reduce(per_sample) / per_sample.size),
         grad_cosines=work,
+        target_cosines=target_cosines,
     )
 
 
 def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Each cosine entry is perturbed by ``+-step`` and the per-sample loss
-    difference quotient is compared entry-by-entry with ``grad_cosines``.
+    Each cosine entry is perturbed by ``+-step``, clipped to ``[-1, 1]``,
+    and the per-sample loss difference over the clipped span is compared
+    entry-by-entry with ``grad_cosines``.
     Rows are independent, so one forward pass per perturbed column covers
     the whole batch.  The relative error uses ``max(1, |fd|, |analytic|)``
     as denominator so that near-zero entries are judged on absolute error.
@@ -241,21 +240,22 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
     analytic = loss_forward(spec, batch).grad_cosines
     cosines, labels = batch.cosines, batch.labels
 
-    max_rel = 0.0
+    # Per entry, as Python's max would drop a NaN (a step too small to move x).
+    rel = np.empty_like(analytic)
     for col in range(cosines.shape[1]):
-        plus = cosines.copy()
-        plus[:, col] += step
-        minus = cosines.copy()
-        minus[:, col] -= step
-        loss_plus = loss_forward(spec, CosineBatch(np.clip(plus, -1, 1), labels))
-        loss_minus = loss_forward(spec, CosineBatch(np.clip(minus, -1, 1), labels))
-        fd = (loss_plus.per_sample_loss - loss_minus.per_sample_loss) / (2.0 * step)
+        plus, minus = cosines.copy(), cosines.copy()
+        plus[:, col] = np.minimum(plus[:, col] + step, 1.0)
+        minus[:, col] = np.maximum(minus[:, col] - step, -1.0)
+        loss_plus = loss_forward(spec, CosineBatch(plus, labels))
+        loss_minus = loss_forward(spec, CosineBatch(minus, labels))
+        span = plus[:, col] - minus[:, col]
+        fd = (loss_plus.per_sample_loss - loss_minus.per_sample_loss) / span
         denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(analytic[:, col])))
-        max_rel = max(max_rel, float(np.max(np.abs(fd - analytic[:, col]) / denom)))
+        rel[:, col] = np.abs(fd - analytic[:, col]) / denom
 
     large = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(analytic) > LARGE_GRAD))]
     return GradCheckReport(
-        max_rel_error=max_rel,
+        max_rel_error=float(rel.max()),
         max_abs_grad=float(np.max(np.abs(analytic))),
         large_grad_entries=large,
     )

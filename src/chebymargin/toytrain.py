@@ -88,16 +88,19 @@ class TrainTelemetry:
     ``grad_norm`` is the largest absolute entry of the per-sample
     loss-vs-cosine gradient matrix for the step's batch: the quantity the
     margin transform's Lipschitz constant bounds, and the one that blows
-    up under the arccos path.  ``nan_seen`` implies training halted at
-    ``nan_step``.
+    up under the arccos path.  ``nan_step`` is the step a non-finite value
+    halted training at; ``nan_seen`` is derived from it.
     """
 
     records: list = field(default_factory=list)
     final_accuracy: float = 0.0
-    nan_seen: bool = False
     nan_step: int | None = None
     grad_norm_max: float = 0.0
     final_weights: np.ndarray | None = None
+
+    @property
+    def nan_seen(self) -> bool:
+        return self.nan_step is not None
 
     def write_csv(self, path: str) -> None:
         rows = (
@@ -150,8 +153,8 @@ def train(config: TrainConfig) -> TrainTelemetry:
     """Run SGD on the cosine classifier, recording telemetry every step.
 
     Prototype rows are renormalized after every update so logits remain
-    cosines.  Non-finite losses or gradients halt the run and set the NaN
-    flag instead of raising, so paired comparisons always get telemetry.
+    cosines.  A non-finite loss, gradient or weight halts the run and sets
+    ``nan_step`` instead of raising, so paired comparisons always get telemetry.
     """
     data = make_sphere_clusters(config)
     rng = np.random.default_rng([config.seed, 1])
@@ -162,50 +165,41 @@ def train(config: TrainConfig) -> TrainTelemetry:
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
 
-    # Row-major offset of each batch row in its B x C cosine matrix.
-    row_starts = np.arange(0, config.batch_size * config.num_classes, config.num_classes)
     telemetry = TrainTelemetry()
-    step = 0
-    for _ in range(config.epochs):
-        if telemetry.nan_seen:
-            break
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            points, labels = data.points.take(idx, axis=0), data.labels[idx]
-            cosines = (points @ weights.T).clip(-1.0, 1.0)
-            out = loss_forward(config.loss, CosineBatch(cosines, labels))
+    batches = (
+        order[start : start + config.batch_size]
+        for order in (rng.permutation(n) for _ in range(config.epochs))
+        for start in range(0, n, config.batch_size)
+    )
+    for step, idx in enumerate(batches):
+        points, labels = data.points.take(idx, axis=0), data.labels[idx]
+        cosines = (points @ weights.T).clip(-1.0, 1.0)
+        out = loss_forward(config.loss, CosineBatch(cosines, labels))
 
-            lr = warmup_cosine_lr(step, total_steps, config.peak_lr, config.warmup_fraction)
-            grad_norm = float(np.abs(out.grad_cosines).max())
-            target_cos = cosines.take(row_starts[: labels.size] + labels)
-            telemetry.records.append(
-                StepRecord(
-                    step=step,
-                    lr=lr,
-                    mean_loss=out.mean_loss,
-                    grad_norm=grad_norm,
-                    max_target_cosine=float(target_cos.max()),
-                )
+        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, config.warmup_fraction)
+        grad_norm = float(np.abs(out.grad_cosines).max())
+        telemetry.records.append(
+            StepRecord(
+                step=step,
+                lr=lr,
+                mean_loss=out.mean_loss,
+                grad_norm=grad_norm,
+                max_target_cosine=float(out.target_cosines.max()),
             )
-            # max propagates NaN, so grad_norm is finite exactly when every
-            # gradient entry is.
-            if not (math.isfinite(out.mean_loss) and math.isfinite(grad_norm)):
-                telemetry.nan_seen = True
-                telemetry.nan_step = step
-                break
+        )
+        # max propagates NaN, so grad_norm is finite exactly when every
+        # gradient entry is.
+        finite = math.isfinite(out.mean_loss) and math.isfinite(grad_norm)
+        if finite:
             telemetry.grad_norm_max = max(telemetry.grad_norm_max, grad_norm)
-
             weight_grad = out.grad_cosines.T @ points / labels.size
             velocity = config.momentum * velocity + weight_grad
-            # overflow here is handled by the flag below, not raised
+            # overflow here is handled by the halt below, not raised
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = _unit_rows(weights - lr * velocity)
-            if not np.isfinite(weights).all():
-                telemetry.nan_seen = True
-                telemetry.nan_step = step
-                break
-            step += 1
+        if not (finite and np.isfinite(weights).all()):
+            telemetry.nan_step = step
+            break
 
     predictions = np.argmax(data.points @ weights.T, axis=1)
     telemetry.final_accuracy = float(np.mean(predictions == data.labels))

@@ -1,6 +1,7 @@
 """Tests for the Chebyshev series of the angular margin transform."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,12 @@ class TestEvenKernel:
             ChebyshevSeries(margin=0.3, degree=3, coefficients=[0, 1, 0, math.nan])
         ChebyshevSeries(margin=0.3, degree=1, coefficients=[0.5, 1.0])
 
+    @pytest.mark.parametrize("coeffs", [[0.5, 1.0], [0.5, 1.0, 0.1, 0.0], [[0.5, 1.0, 0.1]]])
+    def test_series_rejects_coefficient_count_not_matching_degree(self, coeffs):
+        message = f"series of degree 2 needs 3 coefficients, got shape {np.shape(coeffs)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChebyshevSeries(margin=0.3, degree=2, coefficients=coeffs)
+
 
 class TestExactPsi:
     def test_at_x_one(self):
@@ -439,6 +446,16 @@ class TestLipschitz:
 class TestErrorBound:
     def test_zero_margin_is_exact(self):
         assert approx_error_bound(0.0, 10) == 0.0
+
+    @pytest.mark.parametrize("margin", [-0.1, math.pi / 2, math.nan])
+    def test_rejects_bad_margin(self, margin):
+        with pytest.raises(ValueError, match=rf"^margin must be in \[0, pi/2\), got {margin}$"):
+            approx_error_bound(margin, 30)
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_rejects_bad_degree(self, degree):
+        with pytest.raises(ValueError, match=rf"^degree must be >= 1, got {degree}$"):
+            approx_error_bound(0.3, degree)
 
     def test_reference_values(self):
         assert approx_error_bound(0.3, 30) == pytest.approx(

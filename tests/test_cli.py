@@ -146,6 +146,13 @@ class TestLandscapeCommand:
         assert lines[0] == "loss,s_p,s_n,dL_dsp"
         assert len(lines) == 1 + 3 * 11 * 11
 
+    def test_missing_directory_error_names_the_out_path(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "c.csv"
+        code, _, err = run_cli(capsys, "landscape", "--kind", "curves", "--out", str(out_path))
+        assert code == 1
+        assert f"No such file or directory: '{out_path}'" in err
+        assert ".c.csv." not in err
+
 
 class TestTrainCommand:
     def test_writes_telemetry_and_summary(self, capsys, tmp_path):
@@ -302,6 +309,22 @@ class TestCliContract:
         )
         assert result.returncode == 0
         assert "seed=123" in result.stderr
+
+    def test_bad_seed_env_variable_only_fails_commands_with_seed(self, capsys, monkeypatch):
+        """The env seed is converted by argparse, and only for a subcommand
+        that has ``--seed``: ``lipschitz`` is unaffected, ``gradcheck`` is a
+        usage error naming the value, and an explicit ``--seed`` wins."""
+        monkeypatch.setenv("CHEBYMARGIN_SEED", "abc")
+        code, out, _ = run_cli(capsys, "lipschitz", "--margin", "0.3", "--degree", "30")
+        assert (code, out) == (0, "6.781421857737604\n")
+        code, out, err = run_cli(capsys, "gradcheck")
+        assert code == 1
+        assert "argument --seed: invalid int value: 'abc'" in err
+        assert out == ""
+        code, out, err = run_cli(capsys, "gradcheck", "--seed", "3")
+        assert code == 0
+        assert "seed=3 " in err
+        assert "gradcheck PASS" in out
 
     def test_resolved_configuration_printed(self, capsys):
         _, _, err = run_cli(capsys, "lipschitz", "--degree", "4")

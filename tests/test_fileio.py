@@ -45,6 +45,15 @@ def test_failed_first_write_leaves_no_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_open_error_names_the_target_not_the_temp_file(tmp_path):
+    target = tmp_path / "missing" / "c.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_lines_atomic(str(target), ["a"])
+    assert info.value.filename == str(target)
+    assert str(target) in str(info.value)
+    assert ".c.csv." not in str(info.value)
+
+
 def test_interleaved_writers_keep_their_own_temp_files(tmp_path):
     """A second writer to the same path, running while the first is still
     producing lines, neither clobbers nor removes the first one's temp file."""

@@ -1,6 +1,8 @@
 """Tests for the margin-loss family and its analytic gradients."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -88,15 +90,28 @@ class TestLossSpec:
         LossSpec(kind, margin=math.pi / 2 - 1e-9)
 
 
-class TestSeriesCache:
-    def test_bounded_under_many_margins(self):
-        """A margin schedule visiting thousands of margins keeps the series
-        cache at its fixed size."""
-        for i in range(3000):
-            transform_target_logit(LossSpec(LossKind.CHEBY_AAM, margin=0.1 + i * 1e-4), 0.5)
-        info = losses._series.cache_info()
-        assert info.maxsize == losses.SERIES_CACHE_SIZE
-        assert 0 < info.currsize <= losses.SERIES_CACHE_SIZE
+class TestSpecSeries:
+    def test_built_once_per_spec(self):
+        spec = LossSpec(LossKind.CHEBY_AAM, margin=0.3, degree=30)
+        assert spec.series is spec.series
+        np.testing.assert_array_equal(spec.series.coefficients, coefficients(0.3, 30).coefficients)
+
+    def test_dropped_spec_frees_its_series(self):
+        """The series lives on its spec, so no process-wide cache holds
+        it: a margin schedule that builds a spec per margin stays bounded."""
+        spec = LossSpec(LossKind.CHEBY_AAM, margin=0.3)
+        transform_target_logit(spec, 0.5)
+        series = weakref.ref(spec.series)
+        del spec
+        gc.collect()
+        assert series() is None
+
+    def test_equality_and_hash_ignore_the_built_series(self):
+        built, fresh = LossSpec(LossKind.CHEBY_AAM), LossSpec(LossKind.CHEBY_AAM)
+        transform_target_logit(built, 0.5)
+        assert "series" in vars(built) and "series" not in vars(fresh)
+        assert built == fresh
+        assert hash(built) == hash(fresh)
 
 
 class TestCosineBatch:
@@ -117,6 +132,25 @@ class TestCosineBatch:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             CosineBatch(np.array([[0.5, 0.2]]), np.array([2]))
+
+    @pytest.mark.parametrize("cosines", [[0.5, 0.2], [[[0.5, 0.2]]]])
+    def test_rejects_non_matrix_cosines(self, cosines):
+        with pytest.raises(ValueError, match=r"^cosines must be a \[batch x classes\] matrix$"):
+            CosineBatch(np.array(cosines), np.array([0]))
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 0], [[0, 1]], 0])
+    def test_rejects_labels_not_one_per_row(self, labels):
+        with pytest.raises(ValueError, match="^labels must hold one class index per row$"):
+            CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), np.array(labels))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_rejects_empty_batch_when_built(self, shape):
+        with pytest.raises(ValueError, match="^batch must not be empty$"):
+            CosineBatch(np.zeros(shape), np.zeros(shape[0], dtype=int))
+
+    def test_rejects_single_class_when_built(self):
+        with pytest.raises(ValueError, match="^batch needs at least two classes$"):
+            CosineBatch(np.array([[0.5], [0.1]]), np.array([0, 0]))
 
     @pytest.mark.parametrize("label", [0.7, -0.5, math.nan, math.inf])
     def test_rejects_non_integral_label(self, label):
@@ -247,6 +281,13 @@ class TestLossForward:
         plain = loss_forward(LossSpec(LossKind.N_SOFTMAX), batch)
         np.testing.assert_allclose(cheby.per_sample_loss, plain.per_sample_loss, atol=1e-12)
         np.testing.assert_allclose(cheby.grad_cosines, plain.grad_cosines, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind.value)
+    def test_reports_target_cosines(self, spec):
+        batch = random_batch(4, rows=9, classes=5)
+        out = loss_forward(spec, batch)
+        expected = batch.cosines[np.arange(9), batch.labels]
+        np.testing.assert_array_equal(out.target_cosines, expected)
 
     def test_loss_non_negative(self):
         for spec in ALL_SPECS:
@@ -423,6 +464,24 @@ class TestGradCheck:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             loss_grad_check(ALL_SPECS[0], random_batch(0), step=0.0)
+
+    @pytest.mark.parametrize("label", [0, 1, 2])
+    def test_exact_on_cosines_at_the_edge(self, label):
+        """At |x| = 1 the perturbed copies are clipped, so the difference is
+        one-sided over half the span; its only error is the truncation
+        |f''| step / 2 <= s^2 step / 8, well inside the default tolerance."""
+        spec = LossSpec(LossKind.N_SOFTMAX, scale=1.0)
+        batch = CosineBatch(np.array([[1.0, 0.2, -1.0]]), np.array([label]))
+        assert loss_grad_check(spec, batch).max_rel_error < 1.3e-6
+        assert loss_grad_check(spec, batch, step=1e-7).max_rel_error < 1e-6
+
+    def test_step_too_small_to_move_a_cosine_fails(self):
+        """A step below the spacing of floats leaves x unmoved, so the
+        difference quotient is 0/0; the report carries the NaN, which no
+        tolerance passes, instead of dropping it."""
+        with np.errstate(invalid="ignore"):
+            report = loss_grad_check(ALL_SPECS[0], random_batch(0), step=1e-20)
+        assert math.isnan(report.max_rel_error)
 
 
 class TestBinarySurface:

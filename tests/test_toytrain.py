@@ -12,6 +12,7 @@ from chebymargin.losses import LossKind, LossSpec
 from chebymargin.toytrain import (
     STABILITY_SCALE,
     TrainConfig,
+    TrainTelemetry,
     make_sphere_clusters,
     train,
     warmup_cosine_lr,
@@ -82,6 +83,21 @@ class TestSphereClusters:
         ],
     )
     def test_rejects_non_finite_or_negative_setting(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(CHEBY, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("warmup_fraction", 0.0, r"warmup_fraction must be in \(0, 1\)"),
+            ("warmup_fraction", 1.0, r"warmup_fraction must be in \(0, 1\)"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("num_classes", 1, "num_classes must be >= 2"),
+            ("epochs", -1, "epochs must be >= 0 and samples_per_class >= 1"),
+            ("samples_per_class", 0, "epochs must be >= 0 and samples_per_class >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range_setting(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             small_config(CHEBY, **{field: value})
 
@@ -203,6 +219,28 @@ class TestTrain:
         assert telemetry.nan_seen
         assert telemetry.nan_step is not None
         assert len(telemetry.records) >= telemetry.nan_step
+
+    def test_non_finite_loss_halts_before_the_update(self):
+        """At scale 1e308 the first loss overflows: the run halts at step 0
+        with one record, never updates the weights and counts no gradient."""
+        spec = LossSpec(LossKind.CHEBY_AAM, scale=1e308)
+        with np.errstate(all="ignore"):
+            telemetry = train(small_config(spec))
+            untrained = train(small_config(spec, epochs=0))
+        assert not math.isfinite(telemetry.records[0].mean_loss)
+        assert telemetry.nan_step == 0
+        assert telemetry.nan_seen
+        assert len(telemetry.records) == 1
+        assert telemetry.grad_norm_max == 0.0
+        np.testing.assert_array_equal(telemetry.final_weights, untrained.final_weights)
+
+    def test_nan_seen_is_derived_from_nan_step(self):
+        telemetry = TrainTelemetry()
+        assert telemetry.nan_step is None and not telemetry.nan_seen
+        telemetry.nan_step = 3
+        assert telemetry.nan_seen
+        with pytest.raises(AttributeError):
+            telemetry.nan_seen = False
 
     def test_full_size_run_is_clean_at_classification_scale(self):
         """The default desk-scale configuration (16 classes, dim 32,
