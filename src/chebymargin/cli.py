@@ -187,9 +187,15 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _add_loss_flags(sub, default_margin=0.3):
+def _add_loss_flags(sub):
     sub.add_argument("--loss", choices=LOSS_CHOICES, default="chebyaam", help="loss kind")
-    sub.add_argument("--margin", type=float, default=default_margin, help="margin")
+    # No argparse default: ``main`` fills in the one that fits ``--loss``.
+    sub.add_argument(
+        "--margin",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="margin (default: 2 for asoftmax, an integer multiplier; 0.3 otherwise)",
+    )
     sub.add_argument("--scale", type=float, default=32.0, help="logit scale factor")
     sub.add_argument("--degree", type=int, default=30, help="series degree")
 
@@ -281,6 +287,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(subparsers, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    if "loss" in args and "margin" not in args:
+        args.margin = 2.0 if args.loss == LossKind.A_SOFTMAX.value else 0.3
     _print_resolved(args)
     try:
         return args.func(args)

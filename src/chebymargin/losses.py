@@ -228,28 +228,36 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
 
     Each cosine entry is perturbed by ``+-step``, clipped to ``[-1, 1]``,
     and the per-sample loss difference over the clipped span is compared
-    entry-by-entry with ``grad_cosines``.
+    entry-by-entry with ``grad_cosines``.  A step too small to move some
+    cosine (a zero span) is an error naming that cosine.
     Rows are independent, so one forward pass per perturbed column covers
     the whole batch.  The relative error uses ``max(1, |fd|, |analytic|)``
     as denominator so that near-zero entries are judged on absolute error.
     Entries whose analytic gradient magnitude exceeds ``LARGE_GRAD`` are
     reported in ``large_grad_entries``.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    analytic = loss_forward(spec, batch).grad_cosines
     cosines, labels = batch.cosines, batch.labels
+    upper = np.minimum(cosines + step, 1.0)
+    lower = np.maximum(cosines - step, -1.0)
+    span = upper - lower
+    unmoved = np.flatnonzero(span == 0)
+    if unmoved.size:
+        raise ValueError(
+            f"step {step!r} is too small to move the cosine {float(cosines.flat[unmoved[0]])!r}"
+        )
+    analytic = loss_forward(spec, batch).grad_cosines
 
-    # Per entry, as Python's max would drop a NaN (a step too small to move x).
+    # Per entry, as Python's max would drop a NaN loss difference.
     rel = np.empty_like(analytic)
     for col in range(cosines.shape[1]):
         plus, minus = cosines.copy(), cosines.copy()
-        plus[:, col] = np.minimum(plus[:, col] + step, 1.0)
-        minus[:, col] = np.maximum(minus[:, col] - step, -1.0)
+        plus[:, col] = upper[:, col]
+        minus[:, col] = lower[:, col]
         loss_plus = loss_forward(spec, CosineBatch(plus, labels))
         loss_minus = loss_forward(spec, CosineBatch(minus, labels))
-        span = plus[:, col] - minus[:, col]
-        fd = (loss_plus.per_sample_loss - loss_minus.per_sample_loss) / span
+        fd = (loss_plus.per_sample_loss - loss_minus.per_sample_loss) / span[:, col]
         denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(analytic[:, col])))
         rel[:, col] = np.abs(fd - analytic[:, col]) / denom
 

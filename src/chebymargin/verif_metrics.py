@@ -117,33 +117,42 @@ def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     return float(np.min(costs) / min(miss_cost, fa_cost))
 
 
-def _line(path: str, lineno: int) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return next(itertools.islice(fh, lineno - 1, None)).strip()
-
-
 _SCORE_FORMAT = "'enroll test score'"
 _TRIAL_FORMAT = "'label enroll test' with label 0/1"
+# Lines read and tokenized at a time; only one chunk's tokens are alive.
+# Chunks of 4096 to 32768 lines tokenize about equally fast; 131072 is slower.
+_CHUNK_LINES = 16384
 
 
-def _read_rows(path: str, expected: str):
-    """Whitespace tokens of a three-field-per-line file, and the line of each row.
+def _row_chunks(path: str, expected: str):
+    """Read a three-field-per-line file once, ``_CHUNK_LINES`` lines at a time.
 
-    Blank lines are skipped; any other line without exactly three fields is
-    reported as ``path:line: expected <expected>, got '<line>'``.
-    Returns the flat token list (three per row) and the 1-based line
-    number of every row.
+    Yields ``(start, lines, tokens, rows)`` per chunk: the 1-based number of
+    the chunk's first line, its raw lines, the flat whitespace tokens (three
+    per row) and the index in ``lines`` of every row.  Blank lines are
+    skipped; the first other line without exactly three fields raises
+    ``path:line: expected <expected>, got '<line>'`` as soon as its chunk is
+    read, so no row after it is yielded.
     """
     with open(path, encoding="utf-8") as fh:
-        counts = np.fromiter(map(len, map(str.split, fh)), dtype=np.intp)
-        fh.seek(0)
-        tokens = fh.read().split()
-    rows = np.flatnonzero(counts)
-    bad = np.flatnonzero(counts[rows] != 3)
-    if bad.size:
-        lineno = int(rows[bad[0]]) + 1
-        raise ValueError(f"{path}:{lineno}: expected {expected}, got {_line(path, lineno)!r}")
-    return tokens, rows + 1
+        start = 1
+        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+            tokens = []
+            extend = tokens.extend
+            counts = np.fromiter(
+                (extend(fields) or len(fields) for fields in map(str.split, lines)),
+                dtype=np.intp,
+                count=len(lines),
+            )
+            rows = np.flatnonzero(counts)
+            bad = np.flatnonzero(counts[rows] != 3)
+            if bad.size:
+                row = int(rows[bad[0]])
+                raise ValueError(
+                    f"{path}:{start + row}: expected {expected}, got {lines[row].strip()!r}"
+                )
+            yield start, lines, tokens, rows
+            start += len(lines)
 
 
 def _first_repeat(items):
@@ -166,35 +175,66 @@ def _pair_keys(enrolls, tests):
     return map(" ".join, zip(enrolls, tests))
 
 
-def _parse_scores(scores_file: str):
-    """Score column and the ``(enroll, test) -> row`` index of a score file."""
-    tokens, lines = _read_rows(scores_file, _SCORE_FORMAT)
-    raw = tokens[2::3]
-    try:
-        scores = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
-    except ValueError:
-        for lineno, text in zip(lines, raw):
-            try:
-                float(text)
-            except ValueError:
-                raise ValueError(f"{scores_file}:{lineno}: bad score {text!r}") from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        row = int(bad[0])
-        raise ValueError(
-            f"{scores_file}:{lines[row]}: score must be finite, got {raw[row]!r}"
+def _keyed_rows(path: str, expected: str, first_id: int) -> list:
+    """``(line, "enroll test")`` of every row, ids from field ``first_id`` on.
+
+    Only error paths call this: it reads the file a second time to name
+    rows that the streamed pass kept no text of.
+    """
+    return [
+        pair
+        for start, _, tokens, rows in _row_chunks(path, expected)
+        for pair in zip(
+            (start + rows).tolist(),
+            _pair_keys(tokens[first_id::3], tokens[first_id + 1 :: 3]),
         )
-    keys = list(_pair_keys(tokens[0::3], tokens[1::3]))
-    # Free the token strings before the index grows: they are most of the
-    # peak memory.
-    del tokens, raw
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) < len(keys):
-        row, _ = _first_repeat(keys)
-        enroll, test = keys[row].split()
-        raise ValueError(f"{scores_file}:{lines[row]}: duplicate score for ({enroll}, {test})")
-    return scores, index
+    ]
+
+
+def _parse_scores(scores_file: str):
+    """Score column and the ``(enroll, test) -> row`` index of a score file.
+
+    Field counts are checked over the whole file first, then score values
+    (unparsable before non-finite), then duplicate pairs; within each class
+    the earliest line is reported.
+    """
+    index = {}
+    parts = [np.empty(0)]
+    n = 0
+    bad_score = non_finite = None
+    for start, _, tokens, rows in _row_chunks(scores_file, _SCORE_FORMAT):
+        raw = tokens[2::3]
+        try:
+            values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+        except ValueError:
+            if bad_score is None:
+                for row, text in zip(rows.tolist(), raw):
+                    try:
+                        float(text)
+                    except ValueError:
+                        bad_score = f"{scores_file}:{start + row}: bad score {text!r}"
+                        break
+            continue
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size and non_finite is None:
+            i = int(bad[0])
+            non_finite = (
+                f"{scores_file}:{start + rows[i]}: score must be finite, got {raw[i]!r}"
+            )
+        index.update(zip(_pair_keys(tokens[0::3], tokens[1::3]), range(n, n + len(raw))))
+        n += len(raw)
+        parts.append(values)
+    for message in (bad_score, non_finite):
+        if message:
+            raise ValueError(message)
+    if len(index) < n:
+        # The index kept the last row of a repeated pair; name the first repeat.
+        keyed = _keyed_rows(scores_file, _SCORE_FORMAT, 0)
+        row, _ = _first_repeat(key for _, key in keyed)
+        lineno, key = keyed[row]
+        enroll, test = key.split()
+        raise ValueError(f"{scores_file}:{lineno}: duplicate score for ({enroll}, {test})")
+    return np.concatenate(parts), index
 
 
 def parse_trials(trial_file: str, scores_file: str) -> Trials:
@@ -204,33 +244,47 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     lines are ``enroll_id test_id score``.  Every trial must match exactly
     one score and name a distinct pair; problems are reported with their
     file and line number, format errors before join errors.  The output
-    preserves trial-file order.
+    preserves trial-file order.  Each file is read once, in chunks of
+    ``_CHUNK_LINES`` lines, so beyond the output columns only the pair
+    index of the score file and one chunk are held at a time.
     """
     scores, index = _parse_scores(scores_file)
-    tokens, lines = _read_rows(trial_file, _TRIAL_FORMAT)
-    labels = tokens[0::3]
-    if not set(labels) <= {"0", "1"}:
-        row = next(i for i, label in enumerate(labels) if label not in ("0", "1"))
-        raise ValueError(
-            f"{trial_file}:{lines[row]}: expected {_TRIAL_FORMAT}, "
-            f"got {_line(trial_file, lines[row])!r}"
+    row_parts = [np.empty(0, dtype=np.intp)]
+    target_parts = [np.empty(0, dtype=bool)]
+    bad_label = missing = None
+    for start, lines, tokens, rows in _row_chunks(trial_file, _TRIAL_FORMAT):
+        labels, enrolls, tests = tokens[0::3], tokens[1::3], tokens[2::3]
+        if bad_label is None and not set(labels) <= {"0", "1"}:
+            i = next(i for i, label in enumerate(labels) if label not in ("0", "1"))
+            bad_label = (
+                f"{trial_file}:{start + rows[i]}: expected {_TRIAL_FORMAT}, "
+                f"got {lines[rows[i]].strip()!r}"
+            )
+        score_rows = np.fromiter(
+            map(index.get, _pair_keys(enrolls, tests), itertools.repeat(-1)),
+            dtype=np.intp,
+            count=len(labels),
         )
-    enrolls, tests = tokens[1::3], tokens[2::3]
-    rows = np.fromiter(
-        map(index.get, _pair_keys(enrolls, tests), itertools.repeat(-1)),
-        dtype=np.intp,
-        count=len(labels),
-    )
-    missing = np.flatnonzero(rows < 0)
-    if missing.size:
-        row = int(missing[0])
+        absent = np.flatnonzero(score_rows < 0)
+        if absent.size and missing is None:
+            i = int(absent[0])
+            missing = (
+                f"{trial_file}:{start + rows[i]}: "
+                f"no score for trial pair ({enrolls[i]}, {tests[i]})"
+            )
+        row_parts.append(score_rows)
+        target_parts.append(np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels)))
+    for message in (bad_label, missing):
+        if message:
+            raise ValueError(message)
+    score_rows = np.concatenate(row_parts)
+    if score_rows.size and np.bincount(score_rows).max() > 1:
+        row, first = _first_repeat(score_rows.tolist())
+        keyed = _keyed_rows(trial_file, _TRIAL_FORMAT, 1)
+        lineno, key = keyed[row]
+        enroll, test = key.split()
         raise ValueError(
-            f"{trial_file}:{lines[row]}: no score for trial pair ({enrolls[row]}, {tests[row]})"
+            f"{trial_file}:{lineno}: duplicate trial pair ({enroll}, {test}), "
+            f"first on line {keyed[first][0]}"
         )
-    if rows.size and np.bincount(rows).max() > 1:
-        row, first = _first_repeat(rows.tolist())
-        raise ValueError(
-            f"{trial_file}:{lines[row]}: duplicate trial pair ({enrolls[row]}, {tests[row]}), "
-            f"first on line {lines[first]}"
-        )
-    return Trials(scores[rows], np.array(labels) == "1")
+    return Trials(scores[score_rows], np.concatenate(target_parts))

@@ -75,6 +75,36 @@ class TestGradcheck:
         assert code == 2
         assert "gradcheck FAIL" in out
 
+    @pytest.mark.parametrize(
+        "loss, margin",
+        [
+            ("nsoftmax", "0.3"),
+            ("asoftmax", "2.0"),
+            ("amsoftmax", "0.3"),
+            ("aamsoftmax", "0.3"),
+            ("chebyaam", "0.3"),
+        ],
+    )
+    def test_every_loss_passes_at_its_default_margin(self, capsys, loss, margin):
+        """A-Softmax's margin is an integer multiplier, so its default is 2;
+        the configuration line shows the margin used."""
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", loss)
+        assert code == 0
+        assert "gradcheck PASS" in out
+        assert f" margin={margin} " in err
+
+    def test_fractional_asoftmax_margin_still_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "asoftmax", "--margin", "0.3")
+        assert code == 1
+        assert out == ""
+        assert "A-Softmax margin must be a positive integer, got 0.3" in err
+
+    def test_step_too_small_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-20")
+        assert code == 1
+        assert out == ""
+        assert "error: step 1e-20 is too small to move the cosine " in err
+
 
 class TestLipschitz:
     def test_degree_30_value(self, capsys):
@@ -167,6 +197,15 @@ class TestTrainCommand:
         assert out_path.exists()
         assert (tmp_path / "telemetry.csv.summary").exists()
         assert "nan_seen=false" in out
+
+    def test_asoftmax_trains_at_the_default_margin(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "train", "--loss", "asoftmax", "--epochs", "1",
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        assert "steps=50\n" in out
+        assert " margin=2.0 " in err
 
 
 class TestRejectedSettings:

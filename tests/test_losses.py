@@ -477,11 +477,18 @@ class TestGradCheck:
 
     def test_step_too_small_to_move_a_cosine_fails(self):
         """A step below the spacing of floats leaves x unmoved, so the
-        difference quotient is 0/0; the report carries the NaN, which no
-        tolerance passes, instead of dropping it."""
-        with np.errstate(invalid="ignore"):
-            report = loss_grad_check(ALL_SPECS[0], random_batch(0), step=1e-20)
-        assert math.isnan(report.max_rel_error)
+        difference quotient would be 0/0: an error names the step and the
+        first cosine it cannot move.  1e-17 still moves 0.001 (spacing
+        2e-19) but not 0.9 (spacing 1.1e-16)."""
+        batch = CosineBatch(np.array([[0.001, 0.9, -0.5]]), np.array([0]))
+        with pytest.raises(
+            ValueError, match=r"^step 1e-17 is too small to move the cosine 0\.9$"
+        ):
+            loss_grad_check(ALL_SPECS[0], batch, step=1e-17)
+
+    def test_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="step must be positive, got nan"):
+            loss_grad_check(ALL_SPECS[0], random_batch(0), step=math.nan)
 
 
 class TestBinarySurface:

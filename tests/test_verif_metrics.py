@@ -1,5 +1,6 @@
 """Tests for trial parsing, EER, and minDCF."""
 
+import contextlib
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebymargin import verif_metrics
 from chebymargin.verif_metrics import (
     DcfParams,
     Trials,
@@ -281,6 +283,76 @@ class TestParseTrials:
             )
 
 
+SCORES_ABCD = "a x 0.1\nb y 0.2\nc z 0.3\nd w 0.4\n"
+
+
+class TestParseTrialsChunks:
+    """Two-line chunks: each file is streamed, yet the first error by
+    class (field count, then value, then join) and then by line wins,
+    whichever chunk it sits in."""
+
+    @pytest.mark.parametrize(
+        "trials, scores, message",
+        [
+            pytest.param(
+                "1 a x\n",
+                "a x bad\nb y 0.2\nc z 0.3\nd w 0.4\ne v\n",
+                r"s\.txt:5: expected 'enroll test score', got 'e v'$",
+                id="field-count-in-chunk-3-beats-bad-score-in-chunk-1",
+            ),
+            pytest.param(
+                "1 a x\n0 q q\n1 b y\n2 c z\n",
+                SCORES_ABCD,
+                r"t\.txt:4: expected 'label enroll test' with label 0/1, got '2 c z'$",
+                id="bad-label-in-chunk-2-beats-missing-pair-in-chunk-1",
+            ),
+            pytest.param(
+                "1 a x\n",
+                "a x 0.1\nb y inf\nc z nope\n",
+                r"s\.txt:3: bad score 'nope'$",
+                id="bad-score-in-chunk-2-beats-non-finite-in-chunk-1",
+            ),
+            pytest.param(
+                "1 a x\n",
+                "a x 0.1\na x 0.2\nc z nope\n",
+                r"s\.txt:3: bad score 'nope'$",
+                id="bad-score-in-chunk-2-beats-duplicate-in-chunk-1",
+            ),
+            pytest.param(
+                "1 a x\n1 a x\n0 b y\n1 q q\n",
+                SCORES_ABCD,
+                r"t\.txt:4: no score for trial pair \(q, q\)$",
+                id="missing-pair-in-chunk-2-beats-duplicate-trial-in-chunk-1",
+            ),
+            pytest.param(
+                "1 a x\n",
+                "a x 0.1\nb y 0.2\nc z 0.3\nb y 0.4\na x 0.5\n",
+                r"s\.txt:4: duplicate score for \(b, y\)$",
+                id="duplicate-score-across-chunks-names-second-line",
+            ),
+            pytest.param(
+                "0 b y\n\n1 a x\n0 c z\n1 a x\n",
+                SCORES_ABCD,
+                r"t\.txt:5: duplicate trial pair \(a, x\), first on line 3$",
+                id="duplicate-trial-across-chunks-names-both-lines",
+            ),
+            pytest.param(
+                "1 a x\n",
+                "a x 0.1\nb y 0.2\nc z -Infinity\n",
+                r"s\.txt:3: score must be finite, got '-Infinity'$",
+                id="non-finite-score-quoted-raw",
+            ),
+        ],
+    )
+    def test_first_error_wins_across_chunks(self, tmp_path, monkeypatch, trials, scores, message):
+        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", 2)
+        t, s = tmp_path / "t.txt", tmp_path / "s.txt"
+        t.write_text(trials, encoding="utf-8")
+        s.write_text(scores, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
+            parse_trials(str(t), str(s))
+
+
 IDS = st.text(alphabet="abXY09/._-", min_size=1, max_size=5)
 GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
 EDGES = st.sampled_from(["", " ", "\t"])
@@ -326,22 +398,43 @@ def write_lines(data, directory, name, lines):
     return path
 
 
+# The default chunk and two-line chunks, whose boundaries fall between
+# rows, blank lines and bad lines alike.
+CHUNK_SIZES = pytest.mark.parametrize(
+    "chunk_lines", [verif_metrics._CHUNK_LINES, 2], ids=lambda n: f"chunk{n}"
+)
+
+
+@contextlib.contextmanager
+def chunked(chunk_lines):
+    """Context in which ``parse_trials`` reads ``chunk_lines`` lines at a time.
+
+    Hypothesis tests may not take the function-scoped ``monkeypatch``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
+        yield
+
+
 class TestParseTrialsProperties:
+    @CHUNK_SIZES
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_join(self, data):
+    def test_matches_reference_join(self, chunk_lines, data):
         trial_lines, score_lines = trial_files(data)
         with tempfile.TemporaryDirectory() as directory:
             t = write_lines(data, directory, "t.txt", trial_lines)
             s = write_lines(data, directory, "s.txt", score_lines)
-            trials = parse_trials(t, s)
+            with chunked(chunk_lines):
+                trials = parse_trials(t, s)
             scores, is_target = reference_join(t, s)
         assert trials.scores.tolist() == scores
         assert trials.is_target.tolist() == is_target
 
+    @CHUNK_SIZES
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_wrong_field_count_names_its_line(self, data):
+    def test_wrong_field_count_names_its_line(self, chunk_lines, data):
         """One or two lines of 2 or 4 fields, possibly adjacent so the token
         total stays a multiple of 3: the first one is reported."""
         trial_lines, score_lines = trial_files(data)
@@ -355,5 +448,7 @@ class TestParseTrialsProperties:
             t = write_lines(data, directory, "t.txt", trial_lines)
             s = write_lines(data, directory, "s.txt", score_lines)
             bad = t if in_trials else s
-            with pytest.raises(ValueError, match=rf"^{re.escape(bad)}:{lineno}: expected"):
+            with chunked(chunk_lines), pytest.raises(
+                ValueError, match=rf"^{re.escape(bad)}:{lineno}: expected"
+            ):
                 parse_trials(t, s)
