@@ -27,12 +27,9 @@ def main():
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
     for margin in (float(m) for m in args.margins.split(",")):
         for kind in LossKind:
-            if kind is LossKind.N_SOFTMAX:
-                loss_margin = 0.0
-            elif kind is LossKind.A_SOFTMAX:
-                loss_margin = 2  # integer multiplier, not radians
-            else:
-                loss_margin = margin
+            # N-Softmax runs without a margin; A-Softmax, whose margin is an
+            # integer multiplier, at its default.
+            loss_margin = {LossKind.N_SOFTMAX: 0.0, LossKind.A_SOFTMAX: None}.get(kind, margin)
             spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
             config = TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)
             telemetry = train(config)

@@ -18,7 +18,7 @@ evaluation point; arrays are processed elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,44 +33,51 @@ _CLENSHAW_BLOCK = 1024
 
 @dataclass
 class ChebyshevSeries:
-    """Truncated Chebyshev expansion of the margin transform.
+    """Truncated Chebyshev expansion ``sum_{k=0..n} a_k T_k`` of the margin transform.
 
-    Attributes
-    ----------
-    margin : float
-        Angular margin in radians, in ``[0, pi/2)``.
-    degree : int
-        Highest coefficient index ``n``; the series holds ``n + 1``
-        coefficients ``a_0 .. a_n``.
-    coefficients : ndarray
-        The coefficients, ``coefficients[k] == a_k``.  Every odd coefficient
-        above index 1 must be zero, as it is for the margin transform.
+    ``coefficients[k] == a_k``: a non-empty 1-D array whose every odd entry
+    above index 1 is zero, as it is for the margin transform.
     """
 
-    margin: float
-    degree: int
-    coefficients: np.ndarray = field(repr=False)
+    coefficients: np.ndarray
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.degree + 1,):
-            raise ValueError(
-                f"series of degree {self.degree} needs {self.degree + 1} "
-                f"coefficients, got shape {self.coefficients.shape}"
-            )
+        shape = self.coefficients.shape
+        if len(shape) != 1 or shape[0] == 0:
+            raise ValueError(f"coefficients must be a non-empty 1-D array, got shape {shape}")
         odd = np.flatnonzero(self.coefficients[3::2])
         if odd.size:
             k = 3 + 2 * int(odd[0])
             raise ValueError(f"odd coefficient a_{k} must be 0, got {self.coefficients[k]}")
 
+    @property
+    def degree(self) -> int:
+        """Highest coefficient index ``n``."""
+        return len(self.coefficients) - 1
+
 
 def _validate_eval_point(x) -> tuple[np.ndarray, bool]:
-    """Return ``x`` as a float array; an error names its first NaN or value outside [-1, 1]."""
+    """``x`` as a float array, and whether it is a scalar; an error names
+    its first NaN or value outside [-1, 1]."""
     arr = np.asarray(x, dtype=float)
-    inside = np.abs(arr) <= 1.0
-    if not inside.all():
+    # NaN propagates through max, and NaN <= 1 is false.
+    if not np.abs(arr).max(initial=0.0) <= 1.0:
+        inside = np.abs(arr) <= 1.0
         raise ValueError(f"x must lie in [-1, 1], got {arr.flat[np.argmin(inside)]}")
     return arr, arr.ndim == 0
+
+
+def _edge_clamp(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with each point exactly on ``|x| = 1`` moved to ``+-(1 - COS_EDGE_EPS)``."""
+    return np.where(np.abs(arr) >= 1.0, np.sign(arr) * (1.0 - COS_EDGE_EPS), arr)
+
+
+def _check_series_args(margin: float, degree: int) -> None:
+    if not 0.0 <= margin < math.pi / 2:
+        raise ValueError(f"margin must be in [0, pi/2), got {margin}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
 
 
 def _maybe_scalar(values: np.ndarray, scalar: bool):
@@ -80,32 +87,20 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
 def coefficients(margin: float, degree: int) -> ChebyshevSeries:
     """Closed-form Chebyshev coefficients of ``cos(arccos(x) + margin)``.
 
-    The constant term is ``a_0 = -2 sin(m) / pi``, the linear term is
-    ``a_1 = cos(m)``, all odd coefficients above 1 vanish, and the even
-    coefficients are ``a_{2k} = (2 sin(m)/pi) (1/(2k-1) - 1/(2k+1))``.
-
-    Parameters
-    ----------
-    margin : float
-        Angular margin in radians, ``0 <= margin < pi/2``.
-    degree : int
-        Highest coefficient index, at least 1.
-
-    Returns
-    -------
-    ChebyshevSeries
+    ``margin`` is in radians, in ``[0, pi/2)``; ``degree``, the highest
+    coefficient index, is at least 1.  The constant term is
+    ``a_0 = -2 sin(m) / pi``, the linear term is ``a_1 = cos(m)``, all odd
+    coefficients above 1 vanish, and the even coefficients are
+    ``a_{2k} = (2 sin(m)/pi) (1/(2k-1) - 1/(2k+1))``.
     """
-    if not 0.0 <= margin < math.pi / 2:
-        raise ValueError(f"margin must be in [0, pi/2), got {margin}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _check_series_args(margin, degree)
     sin_m = math.sin(margin)
     a = np.zeros(degree + 1)
     a[0] = -2.0 * sin_m / math.pi
     a[1] = math.cos(margin)
     for k in range(1, degree // 2 + 1):
         a[2 * k] = (2.0 * sin_m / math.pi) * (1.0 / (2 * k - 1) - 1.0 / (2 * k + 1))
-    return ChebyshevSeries(margin=margin, degree=degree, coefficients=a)
+    return ChebyshevSeries(a)
 
 
 def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +194,7 @@ def exact_psi_grad(x, margin: float):
     a deterministic finite value rather than a division by zero.
     """
     arr, scalar = _validate_eval_point(x)
-    clamped = np.where(np.abs(arr) >= 1.0, np.sign(arr) * (1.0 - COS_EDGE_EPS), arr)
+    clamped = _edge_clamp(arr)
     grad = math.cos(margin) + clamped * math.sin(margin) / np.sqrt(1.0 - clamped * clamped)
     return _maybe_scalar(grad, scalar)
 
@@ -210,7 +205,7 @@ def exact_psi_hessian(x, margin: float):
     Same edge clamping as :func:`exact_psi_grad`.
     """
     arr, scalar = _validate_eval_point(x)
-    clamped = np.where(np.abs(arr) >= 1.0, np.sign(arr) * (1.0 - COS_EDGE_EPS), arr)
+    clamped = _edge_clamp(arr)
     hess = math.sin(margin) * (1.0 - clamped * clamped) ** -1.5
     return _maybe_scalar(hess, scalar)
 
@@ -275,9 +270,6 @@ def approx_error_bound(margin: float, degree: int) -> float:
     largest even index kept.  Since ``|T_k| <= 1`` this also bounds the
     sup-norm error, and the bound is attained in the limit at ``x = 1``.
     """
-    if not 0.0 <= margin < math.pi / 2:
-        raise ValueError(f"margin must be in [0, pi/2), got {margin}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _check_series_args(margin, degree)
     half = degree // 2
     return 2.0 * math.sin(margin) / (math.pi * (2 * half + 1))

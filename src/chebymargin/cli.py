@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import cheby_core, landscape, verif_metrics
-from .losses import CosineBatch, LossKind, LossSpec, loss_grad_check
+from .losses import CosineBatch, LossKind, LossSpec, default_margin, loss_grad_check
 from .toytrain import TrainConfig, train
 
 SEED_ENV = "CHEBYMARGIN_SEED"
@@ -36,12 +36,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _loss_spec(args) -> LossSpec:
-    return LossSpec(
-        kind=LossKind(args.loss),
-        margin=args.margin,
-        scale=args.scale,
-        degree=args.degree,
-    )
+    return LossSpec(LossKind(args.loss), margin=args.margin, scale=args.scale, degree=args.degree)
+
+
+def _default_margin(args):
+    """``--margin`` left out: each loss's own default, comma-listed in
+    ``--losses`` order for landscape surfaces; curves plot ChebyAAM's."""
+    if "loss" in args:
+        return default_margin(LossKind(args.loss))
+    if args.kind == "curves":
+        return default_margin(LossKind.CHEBY_AAM)
+    return ",".join(str(default_margin(LossKind(name))) for name in args.losses.split(",") if name)
 
 
 def _print_resolved(args) -> None:
@@ -135,15 +140,13 @@ def _cmd_landscape(args) -> int:
         degrees = [int(d) for d in args.degrees.split(",") if d]
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:
+        names = [name for name in args.losses.split(",") if name]
+        margins = [float(margin) for margin in str(args.margin).split(",") if margin]
+        if len(margins) == 1:  # a given --margin serves every loss
+            margins *= len(names)
         specs = [
-            LossSpec(
-                kind=LossKind(name),
-                margin=args.margin,
-                scale=args.scale,
-                degree=args.degree,
-            )
-            for name in args.losses.split(",")
-            if name
+            LossSpec(LossKind(name), margin=margin, scale=args.scale, degree=args.degree)
+            for name, margin in zip(names, margins)
         ]
         landscape.export_surfaces(specs, args.grid, args.out)
     print(f"wrote {args.out}")
@@ -179,23 +182,25 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     trials = verif_metrics.parse_trials(args.trials, args.scores)
     eer, _ = verif_metrics.compute_eer(trials)
-    min_dcf = verif_metrics.compute_min_dcf(
-        trials, verif_metrics.DcfParams(p_target=args.p_target)
-    )
+    min_dcf = verif_metrics.compute_min_dcf(trials, verif_metrics.DcfParams(args.p_target))
     print(f"EER% {eer * 100.0:.4f}")
     print(f"minDCF {min_dcf:.4f}")
     return 0
 
 
-def _add_loss_flags(sub):
-    sub.add_argument("--loss", choices=LOSS_CHOICES, default="chebyaam", help="loss kind")
-    # No argparse default: ``main`` fills in the one that fits ``--loss``.
+def _add_margin_flag(sub):
+    # No argparse default: ``main`` fills in the one that fits the loss.
     sub.add_argument(
         "--margin",
         type=float,
         default=argparse.SUPPRESS,
         help="margin (default: 2 for asoftmax, an integer multiplier; 0.3 otherwise)",
     )
+
+
+def _add_loss_flags(sub):
+    sub.add_argument("--loss", choices=LOSS_CHOICES, default="chebyaam", help="loss kind")
+    _add_margin_flag(sub)
     sub.add_argument("--scale", type=float, default=32.0, help="logit scale factor")
     sub.add_argument("--degree", type=int, default=30, help="series degree")
 
@@ -245,7 +250,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
 
     sub = add("landscape", _cmd_landscape, "export curve or surface CSV data")
     sub.add_argument("--kind", choices=["curves", "surfaces"], default="curves")
-    sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
+    _add_margin_flag(sub)
     sub.add_argument("--degrees", default="2,30", help="comma list of degrees (curves)")
     sub.add_argument("--degree", type=int, default=30, help="series degree (surfaces)")
     sub.add_argument("--scale", type=float, default=32.0, help="logit scale (surfaces)")
@@ -287,10 +292,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(subparsers, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if "loss" in args and "margin" not in args:
-        args.margin = 2.0 if args.loss == LossKind.A_SOFTMAX.value else 0.3
-    _print_resolved(args)
     try:
+        if "margin" not in args and args.subcommand in ("gradcheck", "landscape", "train"):
+            args.margin = _default_margin(args)
+        _print_resolved(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"chebymargin {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cheby_core
-from .cheby_core import COS_EDGE_EPS
 
 # loss_grad_check reports every analytic gradient entry above this magnitude.
 LARGE_GRAD = 100.0
@@ -36,13 +35,21 @@ class LossKind(enum.Enum):
     CHEBY_AAM = "chebyaam"
 
 
+def default_margin(kind: LossKind) -> float:
+    """The margin a loss runs at unless one is given: 2 for A_SOFTMAX, an
+    integer angle multiplier (SphereFace, arXiv:1704.08063); 0.3 otherwise,
+    radians for the angular kinds (ArcFace, arXiv:1801.07698)."""
+    return 2.0 if kind is LossKind.A_SOFTMAX else 0.3
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Configuration of one margin loss.
 
     ``margin`` is radians for the angular kinds, a cosine offset for
-    AM_SOFTMAX, and a positive integer multiplier for A_SOFTMAX.
-    ``degree`` is only consulted for CHEBY_AAM.
+    AM_SOFTMAX, and a positive integer multiplier for A_SOFTMAX; left out,
+    it is ``default_margin(kind)``.  ``degree`` is only consulted for
+    CHEBY_AAM.
 
     AAM_SOFTMAX and CHEBY_AAM are not monotone in the target cosine: for
     ``x < -cos(margin)`` the angle ``theta + margin`` passes ``pi``.  As ``x``
@@ -54,11 +61,13 @@ class LossSpec:
     """
 
     kind: LossKind
-    margin: float = 0.3
+    margin: float | None = None
     scale: float = 32.0
     degree: int = 30
 
     def __post_init__(self):
+        if self.margin is None:
+            object.__setattr__(self, "margin", default_margin(self.kind))
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.margin < 0:
@@ -92,7 +101,7 @@ class CosineBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.cosines = np.asarray(self.cosines, dtype=float)
+        self.cosines, _ = cheby_core._validate_eval_point(self.cosines)
         self.labels = _integer_labels(self.labels)
         if self.cosines.ndim != 2:
             raise ValueError("cosines must be a [batch x classes] matrix")
@@ -101,9 +110,6 @@ class CosineBatch:
         n_classes = self.cosines.shape[1]
         if n_classes < 2:
             raise ValueError("batch needs at least two classes")
-        # NaN propagates through max, and NaN <= 1 is false.
-        if not np.abs(self.cosines).max() <= 1.0:
-            raise ValueError("cosines must be finite and within [-1, 1]")
         if self.labels.shape != (self.cosines.shape[0],):
             raise ValueError("labels must hold one class index per row")
         if self.labels.min() < 0 or self.labels.max() >= n_classes:
@@ -146,7 +152,7 @@ class GradCheckReport:
 def _a_softmax_transform(x: np.ndarray, m: int):
     # cos(m*theta) continued monotonically: (-1)^k cos(m theta) - 2k on the
     # interval where m*theta is in [k pi, (k+1) pi].
-    clamped = np.clip(x, -1.0 + COS_EDGE_EPS, 1.0 - COS_EDGE_EPS)
+    clamped = cheby_core._edge_clamp(x)
     theta = np.arccos(clamped)
     k = np.floor(m * theta / math.pi)
     sign = np.where(k % 2 == 0, 1.0, -1.0)

@@ -50,15 +50,11 @@ class TrainConfig:
         if not 0.0 < self.peak_lr < math.inf:
             raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.epochs < 0 or self.samples_per_class < 1:
-            raise ValueError("epochs must be >= 0 and samples_per_class >= 1")
+            raise ValueError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
+        floors = {"epochs": 0, "batch_size": 1, "dim": 2, "num_classes": 2, "samples_per_class": 1}
+        for name, low in floors.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name, value in (("spread", self.spread), ("momentum", self.momentum)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")

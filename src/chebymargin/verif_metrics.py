@@ -58,8 +58,9 @@ class DcfParams:
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("costs must be positive")
+        for name, cost in (("c_miss", self.c_miss), ("c_fa", self.c_fa)):
+            if not cost > 0:
+                raise ValueError(f"{name} must be positive, got {cost}")
 
 
 def _operating_points(trials: Trials):

@@ -1,5 +1,6 @@
 """Tests for the Chebyshev series of the angular margin transform."""
 
+import dataclasses
 import math
 import re
 
@@ -232,16 +233,23 @@ class TestEvenKernel:
         """The kernel skips odd coefficients above 1, so a series carrying
         one is refused where it is built, naming the index and value."""
         with pytest.raises(ValueError, match=r"a_5 must be 0, got 0\.001"):
-            ChebyshevSeries(margin=0.3, degree=6, coefficients=[0, 1, 0, 0, 0, 1e-3, 0])
+            ChebyshevSeries([0, 1, 0, 0, 0, 1e-3, 0])
         with pytest.raises(ValueError, match=r"a_3 must be 0, got nan"):
-            ChebyshevSeries(margin=0.3, degree=3, coefficients=[0, 1, 0, math.nan])
-        ChebyshevSeries(margin=0.3, degree=1, coefficients=[0.5, 1.0])
+            ChebyshevSeries([0, 1, 0, math.nan])
+        ChebyshevSeries([0.5, 1.0])
 
-    @pytest.mark.parametrize("coeffs", [[0.5, 1.0], [0.5, 1.0, 0.1, 0.0], [[0.5, 1.0, 0.1]]])
-    def test_series_rejects_coefficient_count_not_matching_degree(self, coeffs):
-        message = f"series of degree 2 needs 3 coefficients, got shape {np.shape(coeffs)}"
+    @pytest.mark.parametrize("coeffs", [[[0.5, 1.0, 0.1]], [], [[]], 0.5])
+    def test_series_needs_nonempty_1d_coefficients(self, coeffs):
+        message = f"coefficients must be a non-empty 1-D array, got shape {np.shape(coeffs)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ChebyshevSeries(margin=0.3, degree=2, coefficients=coeffs)
+            ChebyshevSeries(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[0.5], [0.5, 1.0], [0.5, 1.0, 0.1, 0.0]])
+    def test_series_degree_is_its_last_index(self, coeffs):
+        """The series holds only its coefficients; the degree is derived."""
+        series = ChebyshevSeries(coeffs)
+        assert series.degree == len(coeffs) - 1
+        assert [f.name for f in dataclasses.fields(series)] == ["coefficients"]
 
 
 class TestExactPsi:

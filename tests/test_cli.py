@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chebymargin.cli import main
+from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,44 @@ class TestLandscapeCommand:
         assert lines[0] == "loss,s_p,s_n,dL_dsp"
         assert len(lines) == 1 + 3 * 11 * 11
 
+    @pytest.mark.parametrize(
+        "losses, shown", [("nsoftmax,asoftmax,chebyaam", "0.3,2.0,0.3"), ("asoftmax", "2.0")]
+    )
+    def test_surfaces_take_each_loss_default_margin(self, capsys, tmp_path, losses, shown):
+        """Without --margin, asoftmax runs at its integer multiplier 2 and
+        the other losses at 0.3; the config line lists one per loss."""
+        out_path = tmp_path / "surf.csv"
+        code, _, err = run_cli(
+            capsys, "landscape", "--kind", "surfaces", "--grid", "11",
+            "--losses", losses, "--out", str(out_path),
+        )
+        assert code == 0
+        assert f" margin={shown} " in err
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == len(losses.split(",")) * 11 * 11
+        _, expected = binary_derivative_surface(LossSpec(LossKind.A_SOFTMAX, margin=2), 11)
+        assert [float(row[3]) for row in rows if row[0] == "asoftmax"] == expected.ravel().tolist()
+
+    @pytest.mark.parametrize(
+        "margin, named",
+        [
+            ("2", "angular margin must be in [0, pi/2), got 2.0"),
+            ("0.3", "A-Softmax margin must be a positive integer, got 0.3"),
+        ],
+    )
+    def test_given_margin_serves_every_loss(self, capsys, tmp_path, margin, named):
+        """No one margin fits A-Softmax and an angular loss together."""
+        code, out, err = run_cli(
+            capsys, "landscape", "--kind", "surfaces", "--grid", "5",
+            "--losses", "asoftmax,chebyaam", "--margin", margin,
+            "--out", str(tmp_path / "surf.csv"),
+        )
+        assert code == 1
+        assert named in err
+        assert f" margin={float(margin)} " in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_error_names_the_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "c.csv"
         code, _, err = run_cli(capsys, "landscape", "--kind", "curves", "--out", str(out_path))
@@ -218,6 +257,8 @@ class TestRejectedSettings:
             ("--spread", "nan"),
             ("--momentum", "nan"),
             ("--momentum", "-3.0"),
+            ("--warmup-fraction", "1.5"),
+            ("--batch-size", "0"),
         ],
     )
     def test_train_rejects_non_finite_setting(self, capsys, tmp_path, flag, value):

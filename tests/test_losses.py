@@ -116,7 +116,7 @@ class TestSpecSeries:
 
 class TestCosineBatch:
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x must lie in \[-1, 1\], got 1\.5$"):
             CosineBatch(np.array([[0.5, 1.5]]), np.array([0]))
 
     def test_rejects_nan(self):
@@ -125,9 +125,10 @@ class TestCosineBatch:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_with_message(self, value):
-        """The boundary check is the only finiteness check on cosines."""
-        with pytest.raises(ValueError, match=r"cosines must be finite and within \[-1, 1\]"):
-            CosineBatch(np.array([[0.5, 0.2], [value, 0.1]]), np.array([0, 1]))
+        """The evaluators' domain check is the only finiteness check on
+        cosines, and it names the first bad value."""
+        with pytest.raises(ValueError, match=rf"^x must lie in \[-1, 1\], got {value}$"):
+            CosineBatch(np.array([[0.5, 0.2], [value, 0.1], [2.0, 0.0]]), np.array([0, 1, 0]))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -220,6 +221,17 @@ class TestTransform:
             fd = (above - below) / (2 * eps)
             local_scale = m * m  # slope magnitude away from the seam
             assert abs(fd) < local_scale
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
+    def test_a_softmax_evaluated_where_it_is_near_the_edge(self, m, x):
+        """The edge clamp moves only points exactly on |x| = 1, so a cosine
+        within COS_EDGE_EPS of the edge keeps its own value."""
+        spec = LossSpec(LossKind.A_SOFTMAX, margin=m)
+        theta = math.acos(x)
+        k = math.floor(m * theta / math.pi)
+        expected = (-1) ** k * math.cos(m * theta) - 2 * k
+        assert transform_target_logit(spec, x) == pytest.approx(expected, rel=0, abs=1e-12)
 
     @given(x=st.floats(min_value=-0.98, max_value=0.999))
     @settings(max_examples=100)
@@ -474,6 +486,14 @@ class TestGradCheck:
         batch = CosineBatch(np.array([[1.0, 0.2, -1.0]]), np.array([label]))
         assert loss_grad_check(spec, batch).max_rel_error < 1.3e-6
         assert loss_grad_check(spec, batch, step=1e-7).max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
+    def test_a_softmax_exact_within_the_edge_eps(self, x):
+        """A step of 1e-8 around x = +-(1 - 5e-8) stays inside the edge
+        clamp's 1e-7; both perturbed cosines are evaluated where they are."""
+        spec = LossSpec(LossKind.A_SOFTMAX, margin=2, scale=4.0)
+        batch = CosineBatch(np.array([[x, 0.9, -0.2]]), np.array([0]))
+        assert loss_grad_check(spec, batch, step=1e-8).max_rel_error <= 1e-5
 
     def test_step_too_small_to_move_a_cosine_fails(self):
         """A step below the spacing of floats leaves x unmoved, so the

@@ -67,7 +67,7 @@ class TestSphereClusters:
         )
 
     def test_rejects_small_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dim must be >= 2, got 1$"):
             small_config(CHEBY, dim=1)
 
     @pytest.mark.parametrize(
@@ -89,12 +89,12 @@ class TestSphereClusters:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("warmup_fraction", 0.0, r"warmup_fraction must be in \(0, 1\)"),
-            ("warmup_fraction", 1.0, r"warmup_fraction must be in \(0, 1\)"),
-            ("batch_size", 0, "batch_size must be >= 1"),
-            ("num_classes", 1, "num_classes must be >= 2"),
-            ("epochs", -1, "epochs must be >= 0 and samples_per_class >= 1"),
-            ("samples_per_class", 0, "epochs must be >= 0 and samples_per_class >= 1"),
+            ("warmup_fraction", 0.0, r"warmup_fraction must be in \(0, 1\), got 0\.0"),
+            ("warmup_fraction", 1.0, r"warmup_fraction must be in \(0, 1\), got 1\.0"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("num_classes", 1, "num_classes must be >= 2, got 1"),
+            ("epochs", -1, "epochs must be >= 0, got -1"),
+            ("samples_per_class", 0, "samples_per_class must be >= 1, got 0"),
         ],
     )
     def test_rejects_out_of_range_setting(self, field, value, message):

@@ -194,10 +194,14 @@ class TestMinDcf:
         assert compute_min_dcf(overlapping) > 0.0
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p_target must be in \(0, 1\), got 0\.0$"):
             DcfParams(p_target=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^c_miss must be positive, got -1\.0$"):
             DcfParams(c_miss=-1.0)
+        with pytest.raises(ValueError, match=r"^c_fa must be positive, got 0$"):
+            DcfParams(c_fa=0)
+        with pytest.raises(ValueError, match=r"^c_fa must be positive, got nan$"):
+            DcfParams(c_fa=math.nan)
 
 
 class TestTrials:
