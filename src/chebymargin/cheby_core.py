@@ -31,7 +31,7 @@ COS_EDGE_EPS = 1e-7
 _CLENSHAW_BLOCK = 1024
 
 
-@dataclass
+@dataclass(eq=False)
 class ChebyshevSeries:
     """Truncated Chebyshev expansion ``sum_{k=0..n} a_k T_k`` of the margin transform.
 

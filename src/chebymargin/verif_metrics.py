@@ -128,16 +128,28 @@ _CHUNK_LINES = 16384
 def _row_chunks(path: str, expected: str):
     """Read a three-field-per-line file once, ``_CHUNK_LINES`` lines at a time.
 
-    Yields ``(start, lines, tokens, rows)`` per chunk: the 1-based number of
-    the chunk's first line, its raw lines, the flat whitespace tokens (three
-    per row) and the index in ``lines`` of every row.  Blank lines are
-    skipped; the first other line without exactly three fields raises
-    ``path:line: expected <expected>, got '<line>'`` as soon as its chunk is
-    read, so no row after it is yielded.
+    Yields ``(start, lines, tokens, rows, error)`` per chunk: the 1-based
+    number of the chunk's first line, its raw lines, the flat whitespace
+    tokens (three per row), the index in ``lines`` of every row, and
+    ``None`` or the ``(line, message)`` of a line that ends the read.
+    Blank lines are skipped.  Such a line is the first other line without
+    exactly three fields, or the line of the first byte that is not UTF-8;
+    its chunk holds only the rows before it and is the last one yielded.
     """
-    with open(path, encoding="utf-8") as fh:
-        start = 1
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        start, error = 1, None
+        while error is None and (lines := list(itertools.islice(fh, _CHUNK_LINES))):
+            # Each byte that is not UTF-8 was read as a lone surrogate,
+            # which strict encoding refuses.
+            text = "".join(lines)
+            if not text.isascii():
+                try:
+                    text.encode()
+                except UnicodeEncodeError as exc:
+                    k = text.count("\n", 0, exc.start)
+                    byte = ord(text[exc.start]) - 0xDC00
+                    error = start + k, f"cannot decode byte 0x{byte:02x} as UTF-8"
+                    lines = lines[:k]
             tokens = []
             extend = tokens.extend
             counts = np.fromiter(
@@ -148,22 +160,23 @@ def _row_chunks(path: str, expected: str):
             rows = np.flatnonzero(counts)
             bad = np.flatnonzero(counts[rows] != 3)
             if bad.size:
-                row = int(rows[bad[0]])
-                raise ValueError(
-                    f"{path}:{start + row}: expected {expected}, got {lines[row].strip()!r}"
-                )
-            yield start, lines, tokens, rows
+                k = int(bad[0])
+                row = int(rows[k])
+                error = start + row, f"expected {expected}, got {lines[row].strip()!r}"
+                rows, tokens = rows[:k], tokens[: 3 * k]
+            yield start, lines, tokens, rows, error
             start += len(lines)
 
 
-def _first_repeat(items):
-    """Index of the first item equal to an earlier one, and that earlier index."""
-    first_seen = {}
-    for i, item in enumerate(items):
-        first = first_seen.setdefault(item, i)
-        if first != i:
-            return i, first
-    raise ValueError("no repeated item")
+def _raise_first(path: str, *errors) -> None:
+    """Raise ``path:line: message`` for the earliest ``(line, message)``.
+
+    ``None`` entries are skipped; on a tie the entry listed first wins.
+    """
+    found = [error for error in errors if error]
+    if found:
+        line, message = min(found, key=lambda error: error[0])
+        raise ValueError(f"{path}:{line}: {message}")
 
 
 def _pair_keys(enrolls, tests):
@@ -176,65 +189,44 @@ def _pair_keys(enrolls, tests):
     return map(" ".join, zip(enrolls, tests))
 
 
-def _keyed_rows(path: str, expected: str, first_id: int) -> list:
-    """``(line, "enroll test")`` of every row, ids from field ``first_id`` on.
-
-    Only error paths call this: it reads the file a second time to name
-    rows that the streamed pass kept no text of.
-    """
-    return [
-        pair
-        for start, _, tokens, rows in _row_chunks(path, expected)
-        for pair in zip(
-            (start + rows).tolist(),
-            _pair_keys(tokens[first_id::3], tokens[first_id + 1 :: 3]),
-        )
-    ]
-
-
 def _parse_scores(scores_file: str):
-    """Score column and the ``(enroll, test) -> row`` index of a score file.
-
-    Field counts are checked over the whole file first, then score values
-    (unparsable before non-finite), then duplicate pairs; within each class
-    the earliest line is reported.
-    """
+    """Score column and the ``"enroll test" -> row`` index of a score file."""
     index = {}
     parts = [np.empty(0)]
     n = 0
-    bad_score = non_finite = None
-    for start, _, tokens, rows in _row_chunks(scores_file, _SCORE_FORMAT):
-        raw = tokens[2::3]
+    for start, _, tokens, rows, error in _row_chunks(scores_file, _SCORE_FORMAT):
+        enrolls, tests, raw = tokens[0::3], tokens[1::3], tokens[2::3]
+        linenos = start + rows
+        value_error = repeat = None
         try:
             values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
         except ValueError:
-            if bad_score is None:
-                for row, text in zip(rows.tolist(), raw):
-                    try:
-                        float(text)
-                    except ValueError:
-                        bad_score = f"{scores_file}:{start + row}: bad score {text!r}"
-                        break
-            continue
+            values = []
+            for text in raw:
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    value_error = linenos[len(values)], f"bad score {text!r}"
+                    break
+            values = np.array(values)
+        # A non-finite score before the first bad one is the earlier error.
         bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size and non_finite is None:
+        if bad.size:
             i = int(bad[0])
-            non_finite = (
-                f"{scores_file}:{start + rows[i]}: score must be finite, got {raw[i]!r}"
-            )
-        index.update(zip(_pair_keys(tokens[0::3], tokens[1::3]), range(n, n + len(raw))))
+            value_error = linenos[i], f"score must be finite, got {raw[i]!r}"
+        # The index keeps a pair's first row, so a later row maps elsewhere.
+        first = np.fromiter(
+            map(index.setdefault, _pair_keys(enrolls, tests), itertools.count(n)),
+            dtype=np.intp,
+            count=len(raw),
+        )
+        repeats = np.flatnonzero(first != np.arange(n, n + len(raw)))
+        if repeats.size:
+            i = int(repeats[0])
+            repeat = linenos[i], f"duplicate score for ({enrolls[i]}, {tests[i]})"
+        _raise_first(scores_file, value_error, repeat, error)
         n += len(raw)
         parts.append(values)
-    for message in (bad_score, non_finite):
-        if message:
-            raise ValueError(message)
-    if len(index) < n:
-        # The index kept the last row of a repeated pair; name the first repeat.
-        keyed = _keyed_rows(scores_file, _SCORE_FORMAT, 0)
-        row, _ = _first_repeat(key for _, key in keyed)
-        lineno, key = keyed[row]
-        enroll, test = key.split()
-        raise ValueError(f"{scores_file}:{lineno}: duplicate score for ({enroll}, {test})")
     return np.concatenate(parts), index
 
 
@@ -243,49 +235,54 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
 
     Trial lines are ``label enroll_id test_id`` with label 0 or 1; score
     lines are ``enroll_id test_id score``.  Every trial must match exactly
-    one score and name a distinct pair; problems are reported with their
-    file and line number, format errors before join errors.  The output
-    preserves trial-file order.  Each file is read once, in chunks of
-    ``_CHUNK_LINES`` lines, so beyond the output columns only the pair
-    index of the score file and one chunk are held at a time.
+    one score and name a distinct pair.  The first bad line is reported
+    with its file and line number, the score file checked before the trial
+    file; on a line with several problems a format error (field count,
+    label, score value) wins over a join error (duplicate, missing pair).
+    The output preserves trial-file order.  Each file is read once, in
+    chunks of ``_CHUNK_LINES`` lines, so beyond the output columns only the
+    pair index of the score file, a line number per score and one chunk are
+    held at a time.
     """
     scores, index = _parse_scores(scores_file)
+    # The trial line that used each score row, 0 while none has.
+    first_line = np.zeros(scores.size, dtype=np.int32)
     row_parts = [np.empty(0, dtype=np.intp)]
     target_parts = [np.empty(0, dtype=bool)]
-    bad_label = missing = None
-    for start, lines, tokens, rows in _row_chunks(trial_file, _TRIAL_FORMAT):
+    for start, lines, tokens, rows, error in _row_chunks(trial_file, _TRIAL_FORMAT):
         labels, enrolls, tests = tokens[0::3], tokens[1::3], tokens[2::3]
-        if bad_label is None and not set(labels) <= {"0", "1"}:
+        linenos = start + rows
+        label_error = missing = repeat = None
+        if not set(labels) <= {"0", "1"}:
             i = next(i for i, label in enumerate(labels) if label not in ("0", "1"))
-            bad_label = (
-                f"{trial_file}:{start + rows[i]}: expected {_TRIAL_FORMAT}, "
-                f"got {lines[rows[i]].strip()!r}"
-            )
+            label_error = linenos[i], f"expected {_TRIAL_FORMAT}, got {lines[rows[i]].strip()!r}"
         score_rows = np.fromiter(
             map(index.get, _pair_keys(enrolls, tests), itertools.repeat(-1)),
             dtype=np.intp,
             count=len(labels),
         )
         absent = np.flatnonzero(score_rows < 0)
-        if absent.size and missing is None:
+        if absent.size:
             i = int(absent[0])
-            missing = (
-                f"{trial_file}:{start + rows[i]}: "
-                f"no score for trial pair ({enrolls[i]}, {tests[i]})"
-            )
+            missing = linenos[i], f"no score for trial pair ({enrolls[i]}, {tests[i]})"
+        # Repeats among the rows before the first missing pair: of a pair
+        # an earlier chunk used, or of an earlier row of this chunk.  The
+        # stable sort that names the latter runs only once a plain sort
+        # shows one, as it costs ten times as much.
+        found = score_rows[: absent[0] if absent.size else None]
+        earlier = first_line[found]
+        again = earlier != 0
+        if (np.diff(np.sort(found)) == 0).any():
+            order = np.argsort(found, kind="stable")
+            again[order[1:][np.diff(found[order]) == 0]] = True
+        repeats = np.flatnonzero(again)
+        if repeats.size:
+            i = int(repeats[0])
+            first = earlier[i] or linenos[np.argmax(found == found[i])]
+            pair = f"({enrolls[i]}, {tests[i]})"
+            repeat = linenos[i], f"duplicate trial pair {pair}, first on line {first}"
+        _raise_first(trial_file, label_error, missing, repeat, error)
+        first_line[score_rows] = linenos
         row_parts.append(score_rows)
         target_parts.append(np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels)))
-    for message in (bad_label, missing):
-        if message:
-            raise ValueError(message)
-    score_rows = np.concatenate(row_parts)
-    if score_rows.size and np.bincount(score_rows).max() > 1:
-        row, first = _first_repeat(score_rows.tolist())
-        keyed = _keyed_rows(trial_file, _TRIAL_FORMAT, 1)
-        lineno, key = keyed[row]
-        enroll, test = key.split()
-        raise ValueError(
-            f"{trial_file}:{lineno}: duplicate trial pair ({enroll}, {test}), "
-            f"first on line {keyed[first][0]}"
-        )
-    return Trials(scores[score_rows], np.concatenate(target_parts))
+    return Trials(scores[np.concatenate(row_parts)], np.concatenate(target_parts))

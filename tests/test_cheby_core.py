@@ -251,6 +251,14 @@ class TestEvenKernel:
         assert series.degree == len(coeffs) - 1
         assert [f.name for f in dataclasses.fields(series)] == ["coefficients"]
 
+    def test_series_equality_is_identity_and_answers(self):
+        """``==`` answers without comparing arrays; equal values go through
+        the coefficients."""
+        series = coefficients(0.3, 4)
+        assert series == series
+        assert (coefficients(0.3, 4) == coefficients(0.3, 4)) is False
+        np.testing.assert_array_equal(series.coefficients, coefficients(0.3, 4).coefficients)
+
 
 class TestExactPsi:
     def test_at_x_one(self):

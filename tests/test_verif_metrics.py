@@ -27,31 +27,54 @@ def make_scores(targets, nontargets):
     )
 
 
+def numbered_rows(path):
+    """``(line number, fields)`` of every line that is not blank."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if fields := line.split():
+                yield lineno, fields
+
+
 def reference_join(trial_file, scores_file):
     """Oracle: the join line by line, as ``(scores, is_target)`` lists.
 
-    Assumes well-formed input; any problem raises ``ValueError`` without
-    the diagnostics of ``parse_trials``.
+    The first bad line, score file first, raises ``ValueError`` with
+    ``PATH:LINE: `` and the start of the message ``parse_trials`` gives;
+    on one line a format problem (field count, label, score value) is
+    named before a join problem (duplicate, missing pair).
     """
     score_map = {}
-    with open(scores_file, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                enroll, test, raw = line.split()
-                if (enroll, test) in score_map:
-                    raise ValueError("duplicate score")
-                score_map[(enroll, test)] = float(raw)
+    for lineno, fields in numbered_rows(scores_file):
+        where = f"{scores_file}:{lineno}: "
+        if len(fields) != 3:
+            raise ValueError(where + "expected")
+        enroll, test, raw = fields
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(where + f"bad score {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(where + f"score must be finite, got {raw!r}")
+        if (enroll, test) in score_map:
+            raise ValueError(where + f"duplicate score for ({enroll}, {test})")
+        score_map[(enroll, test)] = value
     scores, is_target = [], []
-    seen = set()
-    with open(trial_file, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                label, enroll, test = line.split()
-                if label not in ("0", "1") or (enroll, test) in seen:
-                    raise ValueError("bad label or duplicate trial")
-                seen.add((enroll, test))
-                scores.append(score_map[(enroll, test)])
-                is_target.append(label == "1")
+    first_line = {}
+    for lineno, fields in numbered_rows(trial_file):
+        where = f"{trial_file}:{lineno}: "
+        if len(fields) != 3 or fields[0] not in ("0", "1"):
+            raise ValueError(where + "expected")
+        label, enroll, test = fields
+        if (enroll, test) not in score_map:
+            raise ValueError(where + f"no score for trial pair ({enroll}, {test})")
+        if (enroll, test) in first_line:
+            raise ValueError(
+                where + f"duplicate trial pair ({enroll}, {test}), "
+                f"first on line {first_line[enroll, test]}"
+            )
+        first_line[enroll, test] = lineno
+        scores.append(score_map[(enroll, test)])
+        is_target.append(label == "1")
     return scores, is_target
 
 
@@ -291,9 +314,8 @@ SCORES_ABCD = "a x 0.1\nb y 0.2\nc z 0.3\nd w 0.4\n"
 
 
 class TestParseTrialsChunks:
-    """Two-line chunks: each file is streamed, yet the first error by
-    class (field count, then value, then join) and then by line wins,
-    whichever chunk it sits in."""
+    """Two-line chunks: each file is streamed, yet its first bad line wins,
+    whichever chunk it and the later errors sit in."""
 
     @pytest.mark.parametrize(
         "trials, scores, message",
@@ -301,32 +323,32 @@ class TestParseTrialsChunks:
             pytest.param(
                 "1 a x\n",
                 "a x bad\nb y 0.2\nc z 0.3\nd w 0.4\ne v\n",
-                r"s\.txt:5: expected 'enroll test score', got 'e v'$",
-                id="field-count-in-chunk-3-beats-bad-score-in-chunk-1",
+                r"s\.txt:1: bad score 'bad'$",
+                id="field-count-in-chunk-3-loses-to-bad-score-in-chunk-1",
             ),
             pytest.param(
                 "1 a x\n0 q q\n1 b y\n2 c z\n",
                 SCORES_ABCD,
-                r"t\.txt:4: expected 'label enroll test' with label 0/1, got '2 c z'$",
-                id="bad-label-in-chunk-2-beats-missing-pair-in-chunk-1",
+                r"t\.txt:2: no score for trial pair \(q, q\)$",
+                id="bad-label-in-chunk-2-loses-to-missing-pair-in-chunk-1",
             ),
             pytest.param(
                 "1 a x\n",
                 "a x 0.1\nb y inf\nc z nope\n",
-                r"s\.txt:3: bad score 'nope'$",
-                id="bad-score-in-chunk-2-beats-non-finite-in-chunk-1",
+                r"s\.txt:2: score must be finite, got 'inf'$",
+                id="bad-score-in-chunk-2-loses-to-non-finite-in-chunk-1",
             ),
             pytest.param(
                 "1 a x\n",
                 "a x 0.1\na x 0.2\nc z nope\n",
-                r"s\.txt:3: bad score 'nope'$",
-                id="bad-score-in-chunk-2-beats-duplicate-in-chunk-1",
+                r"s\.txt:2: duplicate score for \(a, x\)$",
+                id="bad-score-in-chunk-2-loses-to-duplicate-in-chunk-1",
             ),
             pytest.param(
                 "1 a x\n1 a x\n0 b y\n1 q q\n",
                 SCORES_ABCD,
-                r"t\.txt:4: no score for trial pair \(q, q\)$",
-                id="missing-pair-in-chunk-2-beats-duplicate-trial-in-chunk-1",
+                r"t\.txt:2: duplicate trial pair \(a, x\), first on line 1$",
+                id="missing-pair-in-chunk-2-loses-to-duplicate-trial-in-chunk-1",
             ),
             pytest.param(
                 "1 a x\n",
@@ -356,6 +378,73 @@ class TestParseTrialsChunks:
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
             parse_trials(str(t), str(s))
 
+    @pytest.mark.parametrize("chunk_lines", [1, 2, verif_metrics._CHUNK_LINES])
+    @pytest.mark.parametrize(
+        "trials, scores, message",
+        [
+            pytest.param(
+                b"1 a x\r\n0 b y\r\n\r\n1 c \xffz\r\n0 d w\r\n",
+                SCORES_ABCD.encode(),
+                r"t\.txt:4: cannot decode byte 0xff as UTF-8$",
+                id="trial-file",
+            ),
+            pytest.param(
+                b"1 a x\n",
+                b"".join(b"a x%d 0.1\n" % i for i in range(3000)) + b"b y 0.\xc3\n",
+                r"s\.txt:3001: cannot decode byte 0xc3 as UTF-8$",
+                id="past-the-first-read-of-the-file",
+            ),
+            pytest.param(
+                b"1 a x\n",
+                b"a x 0.1\nb y 0.2\xe2\x82",
+                r"s\.txt:2: cannot decode byte 0xe2 as UTF-8$",
+                id="cut-at-the-end",
+            ),
+            pytest.param(
+                b"1 a x\n",
+                b"a x 0.1\nb y\n\xff\n",
+                r"s\.txt:2: expected 'enroll test score', got 'b y'$",
+                id="after-a-bad-line",
+            ),
+        ],
+    )
+    def test_undecodable_byte_names_its_line(
+        self, tmp_path, monkeypatch, chunk_lines, trials, scores, message
+    ):
+        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
+        t, s = tmp_path / "t.txt", tmp_path / "s.txt"
+        t.write_bytes(trials)
+        s.write_bytes(scores)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
+            parse_trials(str(t), str(s))
+
+    @pytest.mark.parametrize(
+        "trials, scores, opened",
+        [
+            pytest.param("1 a x\n0 b y\n1 c z\n", SCORES_ABCD, "st", id="valid"),
+            pytest.param(
+                "1 a x\n", "a x 0.1\nb y 0.2\nc z 0.3\na x 0.4\n", "s", id="duplicate-score"
+            ),
+            pytest.param("1 a x\n0 b y\n1 c z\n1 a x\n", SCORES_ABCD, "st", id="duplicate-trial"),
+        ],
+    )
+    def test_each_file_opened_once(self, tmp_path, monkeypatch, trials, scores, opened):
+        """The score file, then the trial file unless the score file is bad."""
+        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", 2)
+        paths = {"t": tmp_path / "t.txt", "s": tmp_path / "s.txt"}
+        paths["t"].write_text(trials, encoding="utf-8")
+        paths["s"].write_text(scores, encoding="utf-8")
+        calls = []
+
+        def counting_open(path, *args, **kwargs):
+            calls.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(verif_metrics, "open", counting_open, raising=False)
+        with contextlib.suppress(ValueError):
+            parse_trials(str(paths["t"]), str(paths["s"]))
+        assert calls == [str(paths[name]) for name in opened]
+
 
 IDS = st.text(alphabet="abXY09/._-", min_size=1, max_size=5)
 GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
@@ -363,6 +452,12 @@ EDGES = st.sampled_from(["", " ", "\t"])
 BLANKS = st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)
 LINE_STYLES = st.tuples(BLANKS, EDGES, GAPS, GAPS, EDGES)
 SCORE_FORMATS = st.sampled_from([repr, "{:.4f}".format, "{:e}".format])
+BAD_LINE_KINDS = [
+    "field count", "label", "bad score", "non-finite score",
+    "duplicate score", "duplicate trial", "missing pair",
+]
+BAD_SCORES = ["x", "1.2.3", "--1", "0x10", "1e", "0.5a"]
+NON_FINITE_SCORES = ["nan", "inf", "-Infinity", "NaN", "+inf"]
 
 
 def fixed_size(strategy, n):
@@ -439,20 +534,49 @@ class TestParseTrialsProperties:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_wrong_field_count_names_its_line(self, chunk_lines, data):
-        """One or two lines of 2 or 4 fields, possibly adjacent so the token
-        total stays a multiple of 3: the first one is reported."""
+        """One to three bad lines of any kind at random lines of either file:
+        the first bad line, score file first, is named as the line-by-line
+        oracle names it.  Lines of 2 and 4 fields may sit next to each other,
+        so the token total can stay a multiple of 3."""
         trial_lines, score_lines = trial_files(data)
-        in_trials = data.draw(st.booleans())
-        lines = trial_lines if in_trials else score_lines
-        for _ in range(data.draw(st.integers(1, 2))):
-            fields = data.draw(st.lists(IDS, min_size=2, max_size=4).filter(lambda f: len(f) != 3))
-            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(fields))
-        lineno = next(i for i, line in enumerate(lines, start=1) if len(line.split()) not in (0, 3))
+        for k in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(BAD_LINE_KINDS))
+            in_trials = kind in ("label", "duplicate trial", "missing pair") or (
+                kind == "field count" and data.draw(st.booleans())
+            )
+            lines = trial_lines if in_trials else score_lines
+            rows = [line for line in lines if line.strip()]
+            # "q" is not in IDS, so no score has the fresh pair.  A bad
+            # value on a used pair also repeats it, on the same line.
+            pair = f"q{k} q{k}"
+            if rows and data.draw(st.booleans()):
+                fields = data.draw(st.sampled_from(rows)).split()
+                pair = " ".join(fields[1:3] if in_trials else fields[:2])
+            if kind == "field count":
+                wrong = st.lists(IDS, min_size=2, max_size=4).filter(lambda f: len(f) != 3)
+                line = " ".join(data.draw(wrong))
+            elif kind == "label":
+                line = f"{data.draw(IDS.filter(lambda s: s not in ('0', '1')))} {pair}"
+            elif kind in ("bad score", "non-finite score"):
+                values = BAD_SCORES if kind == "bad score" else NON_FINITE_SCORES
+                line = f"{pair} {data.draw(st.sampled_from(values))}"
+            elif kind == "missing pair":
+                line = f"{data.draw(st.sampled_from('01'))} q{k} q{k}"
+            elif rows:
+                line = data.draw(st.sampled_from(rows))
+            else:
+                continue
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
         with tempfile.TemporaryDirectory() as directory:
             t = write_lines(data, directory, "t.txt", trial_lines)
             s = write_lines(data, directory, "s.txt", score_lines)
-            bad = t if in_trials else s
-            with chunked(chunk_lines), pytest.raises(
-                ValueError, match=rf"^{re.escape(bad)}:{lineno}: expected"
-            ):
-                parse_trials(t, s)
+            try:
+                expected = reference_join(t, s)
+            except ValueError as exc:
+                message = f"^{re.escape(str(exc))}"
+                with chunked(chunk_lines), pytest.raises(ValueError, match=message):
+                    parse_trials(t, s)
+            else:
+                with chunked(chunk_lines):
+                    trials = parse_trials(t, s)
+                assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
