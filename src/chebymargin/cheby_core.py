@@ -26,9 +26,10 @@ import numpy as np
 # exactly on |x| = 1 are evaluated at 1 - COS_EDGE_EPS instead.
 COS_EDGE_EPS = 1e-7
 
-# Points per block of the Clenshaw kernel.  A block's copy of the
-# coefficient columns holds 2 * K * _CLENSHAW_BLOCK floats for K = degree // 2.
-_CLENSHAW_BLOCK = 1024
+# Most points for which the Clenshaw kernel copies its coefficient columns out
+# to the points' shape (2 * K * n floats for K = degree // 2); past it they
+# broadcast, so the copy stays small whatever the size of the input.
+_CLENSHAW_COPY_MAX = 1024
 
 
 @dataclass(eq=False)
@@ -113,41 +114,34 @@ def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``[c_j, j c_j]`` sums the T-series of ``g`` (row 0) and the U-series of
     ``g'`` (row 1) together, in half as many steps as ``a`` has entries.
 
-    ``x`` is taken in blocks of ``_CLENSHAW_BLOCK`` points.  The columns
-    ``col_1 .. col_K`` are copied out to the block's shape once, so no
-    operation in the recurrence broadcasts, and their size stays bounded
-    whatever the size of ``x``.  Each point's arithmetic is the same in any
-    block, so the result does not depend on the block size.
+    Up to ``_CLENSHAW_COPY_MAX`` points the columns ``col_1 .. col_K`` are
+    copied out to the points' shape, so no operation in the recurrence
+    broadcasts; past it each is a broadcast ``(2, 1)`` column.  Either way
+    every point gets the same arithmetic, so the result is the same.
     """
     a1 = a[1] if len(a) > 1 else 0.0
     c = a[0::2]
     k = len(c) - 1
     flat = x.reshape(-1)
-    value = np.empty(flat.size)
-    deriv = np.empty(flat.size)
-    # col_j for j = 1..K at the block's shape; a lone zero column when K = 0,
-    # so that b_1 = b_2 = 0.
-    block_cols = np.zeros((max(k, 1), 2, min(flat.size, _CLENSHAW_BLOCK)))
-    block_cols[:k, 0] = c[1:, None]
-    block_cols[:k, 1] = (np.arange(1.0, k + 1) * c[1:])[:, None]
-    for start in range(0, flat.size, _CLENSHAW_BLOCK):
-        xb = flat[start : start + _CLENSHAW_BLOCK]
-        n = xb.size
-        cols = block_cols[:, :, :n]
-        four_x = 4.0 * xb
-        two_y = np.empty((2, n))
-        two_y[...] = four_x * xb - 2.0
-        # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
-        b1 = cols[-1].copy()
-        b2 = np.zeros((2, n))
-        work = np.empty((2, n))
-        for col in cols[-2::-1]:
-            np.multiply(two_y, b1, work)
-            np.subtract(work, b2, work)
-            np.add(work, col, work)
-            b2, b1, work = b1, work, b2
-        value[start : start + n] = a1 * xb + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
-        deriv[start : start + n] = a1 + four_x * b1[1]
+    n = flat.size
+    # col_j for j = 1..K; a lone zero column when K = 0, so that b_1 = b_2 = 0.
+    cols = np.zeros((max(k, 1), 2, n if n <= _CLENSHAW_COPY_MAX else 1))
+    cols[:k, 0] = c[1:, None]
+    cols[:k, 1] = (np.arange(1.0, k + 1) * c[1:])[:, None]
+    four_x = 4.0 * flat
+    two_y = np.empty((2, n))
+    two_y[...] = four_x * flat - 2.0
+    # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
+    b1 = np.broadcast_to(cols[-1], (2, n)).copy()
+    b2 = np.zeros((2, n))
+    work = np.empty((2, n))
+    for col in cols[-2::-1]:
+        np.multiply(two_y, b1, work)
+        np.subtract(work, b2, work)
+        np.add(work, col, work)
+        b2, b1, work = b1, work, b2
+    value = a1 * flat + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
+    deriv = a1 + four_x * b1[1]
     return value.reshape(x.shape), deriv.reshape(x.shape)
 
 
@@ -214,21 +208,16 @@ def _derivative_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """T-series coefficients of the derivative of a T-series.
 
     Input and output both use the plain convention ``p = sum c_k T_k``.
-    Standard backward recurrence d_{k-1} = d_{k+1} + 2k c_k, applied after
-    doubling c_0 and halving d_0 to bridge the halved-constant convention
-    the recurrence assumes.
+    The standard backward recurrence d_{k-1} = d_{k+1} + 2k c_k, which
+    never reads c_0, gives d_0 in the halved-constant convention, so d_0 is
+    halved.  A constant's derivative is the single coefficient 0.
     """
     n = len(coeffs) - 1
-    if n == 0:
-        return np.zeros(1)
-    c = coeffs.astype(float).copy()
-    c[0] *= 2.0
     d = np.zeros(n + 2)
     for k in range(n, 0, -1):
-        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
-    out = d[:n].copy()
-    out[0] /= 2.0
-    return out
+        d[k - 1] = d[k + 1] + 2.0 * k * coeffs[k]
+    d[0] /= 2.0
+    return d[: max(n, 1)]
 
 
 def series_derivative(series: ChebyshevSeries, x):
@@ -253,12 +242,16 @@ def series_hessian(series: ChebyshevSeries, x):
 def lipschitz_constant(series: ChebyshevSeries) -> float:
     """Exact Lipschitz constant ``sup |f'|`` on [-1, 1], which is ``f'(1)``.
 
-    For a margin in ``[0, pi/2)`` every coefficient of ``f'`` in the
-    ``T_k'`` basis is non-negative (``a_1 = cos m`` and each ``a_{2k}``), and
-    ``|T_k'(x)| <= k^2 = T_k'(1)``, so ``|f'|`` peaks at ``x = 1``.  In closed
-    form, ``f'(1) = cos m + (2 sin m / pi) 4K(K+1)/(2K+1)`` for
-    ``K = degree // 2``.
+    ``|T_k'(x)| <= k^2 = T_k'(1)``, so ``|f'|`` peaks at ``x = 1`` when
+    ``a_1`` and every ``a_{2k}`` are non-negative, as they are for a margin
+    in ``[0, pi/2)``; a negative one is an error.  In closed form,
+    ``f'(1) = cos m + (2 sin m / pi) 4K(K+1)/(2K+1)`` for ``K = degree // 2``.
     """
+    a = series.coefficients
+    negative = np.flatnonzero(a[1:] < 0)
+    if negative.size:
+        k = 1 + int(negative[0])
+        raise ValueError(f"coefficient a_{k} must be non-negative for sup |f'| = f'(1), got {a[k]}")
     return series_derivative(series, 1.0)
 
 

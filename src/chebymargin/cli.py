@@ -74,12 +74,16 @@ def _with_config(subparsers, argv: list[str]) -> list[str]:
     if subparser is None or path is None:
         return argv
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         subparser.error(f"cannot read config file {path}: {exc.strerror}")
     tokens = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            subparser.error(f"{path}:{lineno}: cannot decode byte 0x{raw[exc.start]:02x} as UTF-8")
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

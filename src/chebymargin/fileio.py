@@ -12,6 +12,7 @@ def write_lines_atomic(path: str, lines) -> None:
     writing a line raises, the temp file is removed, the exception
     propagates and an existing ``path`` keeps its old bytes.  The mode is
     that of ``open(path, "w")``: 0o666 less the umask (mkstemp gives 0o600).
+    An error creating or renaming the temp file names ``path``.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
@@ -26,7 +27,10 @@ def write_lines_atomic(path: str, lines) -> None:
             # formatting a line.
             while chunk := list(islice(lines, 1024)):
                 fh.write("\n".join(chunk) + "\n")
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise

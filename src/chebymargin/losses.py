@@ -70,8 +70,6 @@ class LossSpec:
             object.__setattr__(self, "margin", default_margin(self.kind))
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
         angular = self.kind in (LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM)
         if angular and not self.margin < math.pi / 2:
             raise ValueError(f"angular margin must be in [0, pi/2), got {self.margin}")
@@ -80,10 +78,14 @@ class LossSpec:
         if self.kind is LossKind.AM_SOFTMAX and not self.margin < 2:
             raise ValueError(f"AM-Softmax margin must be below 2, got {self.margin}")
         if self.kind is LossKind.A_SOFTMAX:
-            if self.margin < 1 or self.margin != int(self.margin):
+            # The range check comes first: int() fails on NaN and infinity.
+            if not (1 <= self.margin < math.inf and self.margin == int(self.margin)):
                 raise ValueError(
                     f"A-Softmax margin must be a positive integer, got {self.margin}"
                 )
+        # Last, so that a kind with its own range names it first.
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
         if self.kind is LossKind.CHEBY_AAM and self.degree < 1:
             raise ValueError(f"series degree must be >= 1, got {self.degree}")
 

@@ -208,17 +208,19 @@ class TestEvenKernel:
         np.testing.assert_array_equal(deriv.ravel(), flat_deriv)
 
     @pytest.mark.parametrize("degree", [1, 2, 30, 100])
-    def test_blocks_match_point_by_point(self, degree):
-        """Blocked evaluation gives every point the bits it gets alone: over
-        three full blocks plus a partial one, and for a 2-D input."""
+    def test_copy_and_broadcast_match_point_by_point(self, degree):
+        """Every point gets the bits it gets alone, whether the coefficient
+        columns are copied out (up to the limit) or broadcast (past it), and
+        for a 2-D input."""
         series = coefficients(0.3, degree)
-        n = 3 * cheby_core._CLENSHAW_BLOCK + 7
-        x = np.linspace(-1.0, 1.0, n)
-        x[1::2] = np.random.default_rng(degree).uniform(-1.0, 1.0, n // 2)
+        limit = cheby_core._CLENSHAW_COPY_MAX
+        x = np.linspace(-1.0, 1.0, 3 * limit + 7)
+        x[1::2] = np.random.default_rng(degree).uniform(-1.0, 1.0, x.size // 2)
         one_by_one = np.array([series_value_and_derivative(series, xi) for xi in x.tolist()])
-        value, deriv = cheby_core._even_clenshaw(series.coefficients, x)
-        np.testing.assert_array_equal(value, one_by_one[:, 0])
-        np.testing.assert_array_equal(deriv, one_by_one[:, 1])
+        for n in (limit, limit + 1, x.size):
+            value, deriv = cheby_core._even_clenshaw(series.coefficients, x[:n])
+            np.testing.assert_array_equal(value, one_by_one[:n, 0])
+            np.testing.assert_array_equal(deriv, one_by_one[:n, 1])
         grid = x[: 7 * 300].reshape(7, 300)
         value, deriv = cheby_core._even_clenshaw(series.coefficients, grid)
         assert value.shape == deriv.shape == (7, 300)
@@ -452,6 +454,15 @@ class TestLipschitz:
         assert all(b > a for a, b in zip(values, values[1:]) if b != a)
         assert values == sorted(values)
         assert values[-1] < exact_psi_grad(1 - 1e-6, 0.3)
+
+    def test_rejects_a_negative_slope_coefficient(self):
+        """f'(1) is sup |f'| only while a_1 and every a_2k are non-negative:
+        for f = T_1 - T_2, f' = 1 - 4x gives f'(1) = -3 but |f'(-1)| = 5."""
+        message = r"coefficient a_{} must be non-negative for sup \|f'\| = f'\(1\), got -1\.0$"
+        with pytest.raises(ValueError, match=message.format(2)):
+            lipschitz_constant(ChebyshevSeries([0.0, 1.0, -1.0]))
+        with pytest.raises(ValueError, match=message.format(1)):
+            lipschitz_constant(ChebyshevSeries([0.5, -1.0, 1.0]))
 
     def test_takes_no_grid_argument(self):
         """The constant is exact; there is no grid size to pass."""

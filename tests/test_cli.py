@@ -346,6 +346,12 @@ class TestCliContract:
         values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert values[1] == pytest.approx(math.cos(0.3), abs=1e-12)
 
+        code, out, _ = run_cli(capsys, "coeffs", f"--config={config}")
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert len(values) == 5
+        assert values[1] == pytest.approx(math.cos(0.2), abs=1e-12)
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("nonsense=1\n", encoding="utf-8")
@@ -360,6 +366,8 @@ class TestCliContract:
             ("coeffs", "degree=3.5\n", "'3.5'"),
             ("coeffs", "# run\nmargin 0.2\n", "run.cfg:2: expected key=value, got 'margin 0.2'"),
             ("coeffs", None, "run.cfg"),
+            # Written with surrogateescape, \udcff is the byte 0xff.
+            ("lipschitz", "degree=4\nmargin=0.\udcff\n", "cfg:2: cannot decode byte 0xff as UTF-8"),
             # argparse would expand the prefix --loss to --losses.
             ("landscape", "loss=nsoftmax\n", "unknown config key 'loss'"),
         ],
@@ -370,7 +378,7 @@ class TestCliContract:
         config = tmp_path / "run.cfg"
         out = tmp_path / "land.csv"
         if text is not None:
-            config.write_text(text, encoding="utf-8")
+            config.write_text(text, encoding="utf-8", errors="surrogateescape")
         out_flag = ["--out", str(out)] if sub == "landscape" else []
         code, stdout, err = run_cli(capsys, sub, "--config", str(config), *out_flag)
         assert code == 1

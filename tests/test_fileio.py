@@ -54,6 +54,20 @@ def test_open_error_names_the_target_not_the_temp_file(tmp_path):
     assert ".c.csv." not in str(info.value)
 
 
+
+def test_rename_error_names_the_target_not_the_temp_file(tmp_path):
+    """A directory in the target's place fails the final rename; the error
+    names the target and the temp file is gone."""
+    target = tmp_path / "d"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_lines_atomic(str(target), ["a"])
+    assert info.value.filename == str(target)
+    assert str(target) in str(info.value)
+    assert ".d." not in str(info.value)
+    assert os.listdir(tmp_path) == ["d"]
+    assert os.listdir(target) == []
+
 def test_interleaved_writers_keep_their_own_temp_files(tmp_path):
     """A second writer to the same path, running while the first is still
     producing lines, neither clobbers nor removes the first one's temp file."""

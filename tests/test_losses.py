@@ -61,7 +61,8 @@ class TestLossSpec:
             LossSpec(LossKind.CHEBY_AAM, scale=scale)
 
     def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
+        message = r"^margin must be non-negative and finite, got -0\.1$"
+        with pytest.raises(ValueError, match=message):
             LossSpec(LossKind.AAM_SOFTMAX, margin=-0.1)
 
     def test_a_softmax_needs_integer_margin(self):
@@ -88,6 +89,19 @@ class TestLossSpec:
         with pytest.raises(ValueError, match=rf"\[0, pi/2\), got {margin}"):
             LossSpec(kind, margin=margin)
         LossSpec(kind, margin=math.pi / 2 - 1e-9)
+
+    @pytest.mark.parametrize("margin", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_rejects_non_finite_margin(self, kind, margin):
+        """Every kind refuses a NaN or infinite margin with a ValueError
+        naming it; A-Softmax's integer check must not reach int() first."""
+        message = {
+            LossKind.N_SOFTMAX: "margin must be non-negative and finite",
+            LossKind.A_SOFTMAX: "A-Softmax margin must be a positive integer",
+            LossKind.AM_SOFTMAX: "AM-Softmax margin must be below 2",
+        }.get(kind, r"angular margin must be in \[0, pi/2\)")
+        with pytest.raises(ValueError, match=rf"^{message}, got {margin}$"):
+            LossSpec(kind, margin=margin)
 
 
 class TestSpecSeries:
