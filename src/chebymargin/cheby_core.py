@@ -132,7 +132,8 @@ def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     two_y = np.empty((2, n))
     two_y[...] = four_x * flat - 2.0
     # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
-    b1 = np.broadcast_to(cols[-1], (2, n)).copy()
+    b1 = np.empty((2, n))
+    b1[...] = cols[-1]
     b2 = np.zeros((2, n))
     work = np.empty((2, n))
     for col in cols[-2::-1]:

@@ -118,6 +118,8 @@ def _cmd_eval_psi(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not args.tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     cosines = rng.uniform(-0.95, 0.95, (args.batch_size, args.classes))
     labels = rng.integers(0, args.classes, args.batch_size)

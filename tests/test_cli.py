@@ -106,6 +106,21 @@ class TestGradcheck:
         assert out == ""
         assert "error: step 1e-20 is too small to move the cosine " in err
 
+    def test_infinite_step_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "gradcheck", "--step", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.endswith("error: step must be finite, got inf\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tolerance_nothing_can_meet_exits_one(self, capsys, tol):
+        """A NaN or negative tolerance is a usage error, not a check
+        failure; ``--tol 0`` stays a valid, if strict, check."""
+        code, out, err = run_cli(capsys, "gradcheck", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: tol must be non-negative, got {float(tol)!r}\n")
+
 
 class TestLipschitz:
     def test_degree_30_value(self, capsys):

@@ -524,6 +524,12 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step must be positive, got nan"):
             loss_grad_check(ALL_SPECS[0], random_batch(0), step=math.nan)
 
+    def test_rejects_infinite_step(self):
+        """Every clipped span would be all of [-1, 1], so the check could
+        only report a meaningless failure."""
+        with pytest.raises(ValueError, match="^step must be finite, got inf$"):
+            loss_grad_check(ALL_SPECS[0], random_batch(0), step=math.inf)
+
 
 class TestBinarySurface:
     def test_diagonal_value_for_n_softmax(self):

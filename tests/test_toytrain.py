@@ -1,6 +1,9 @@
 """Tests for the desk-scale training harness."""
 
 import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +172,48 @@ class TestTrain:
         telemetry = train(small_config(CHEBY, epochs=0))
         assert telemetry.records == []
         assert 0.0 <= telemetry.final_accuracy <= 1.0
+
+    @pytest.mark.parametrize(
+        "batch_size, epochs", [(64, 1), (100, 1), (1, 1), (5000, 1), (64, 0)]
+    )
+    def test_final_accuracy_matches_the_whole_set_oracle(self, batch_size, epochs):
+        """The accuracy pass runs in row blocks of the batch size; it scores
+        the same predictions as one product over every point.  220 points
+        are not a multiple of 100, and 5000 exceeds them."""
+        config = small_config(
+            CHEBY, batch_size=batch_size, epochs=epochs, samples_per_class=55, spread=0.5
+        )
+        telemetry = train(config)
+        data = make_sphere_clusters(config)
+        predictions = np.argmax(data.points @ telemetry.final_weights.T, axis=1)
+        assert telemetry.final_accuracy == np.mean(predictions == data.labels)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_default_run_leaves_blas_workers_idle(self):
+        """At the default shapes no product in a run is large enough for
+        BLAS to hand to a worker thread, the final accuracy pass included,
+        so the process's other threads accrue no CPU time."""
+
+        def other_threads_cpu_ticks():
+            ticks = 0
+            for tid in os.listdir("/proc/self/task"):
+                if int(tid) == os.getpid():
+                    continue
+                try:
+                    with open(f"/proc/self/task/{tid}/stat") as fh:
+                        fields = fh.read().rsplit(")", 1)[1].split()
+                except FileNotFoundError:  # the thread exited meanwhile
+                    continue
+                ticks += int(fields[11]) + int(fields[12])  # utime, stime
+            return ticks
+
+        if len(os.listdir("/proc/self/task")) < 2:
+            pytest.skip("the process has no thread besides the main one")
+        time.sleep(0.5)  # let workers busy-waiting after earlier tests settle
+        before = other_threads_cpu_ticks()
+        train(TrainConfig(loss=CHEBY, epochs=1))
+        time.sleep(0.3)
+        assert other_threads_cpu_ticks() == before
 
     def test_weight_rows_stay_unit_norm(self):
         for epochs in (1, 5):
