@@ -120,6 +120,10 @@ def _cmd_eval_psi(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not args.tol >= 0:
         raise ValueError(f"tol must be non-negative, got {args.tol!r}")
+    if args.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {args.batch_size}")
+    if args.classes < 2:
+        raise ValueError(f"classes must be >= 2, got {args.classes}")
     rng = np.random.default_rng(args.seed)
     cosines = rng.uniform(-0.95, 0.95, (args.batch_size, args.classes))
     labels = rng.integers(0, args.classes, args.batch_size)

@@ -237,8 +237,8 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
     Each cosine entry is perturbed by ``+-step``, clipped to ``[-1, 1]``,
     and the per-sample loss difference over the clipped span is compared
     entry-by-entry with ``grad_cosines``.  A step too small to move some
-    cosine (a zero span) is an error naming that cosine; an infinite step,
-    whose every span is all of ``[-1, 1]``, is an error too.
+    cosine (a zero span) is an error naming that cosine; a step of 2 or
+    more, whose every span is all of ``[-1, 1]``, is an error too.
     Rows are independent, so one forward pass per perturbed column covers
     the whole batch.  The relative error uses ``max(1, |fd|, |analytic|)``
     as denominator so that near-zero entries are judged on absolute error.
@@ -249,6 +249,8 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
         raise ValueError(f"step must be positive, got {step}")
     if step == math.inf:
         raise ValueError(f"step must be finite, got {step}")
+    if step >= 2:
+        raise ValueError(f"step must be below 2, got {step}")
     cosines, labels = batch.cosines, batch.labels
     upper = np.minimum(cosines + step, 1.0)
     lower = np.maximum(cosines - step, -1.0)

@@ -112,6 +112,34 @@ class TestGradcheck:
         assert out == ""
         assert err.endswith("error: step must be finite, got inf\n")
 
+    @pytest.mark.parametrize("step", ["2", "1e300"])
+    def test_step_that_clips_every_pair_exits_one(self, capsys, step):
+        code, out, err = run_cli(capsys, "gradcheck", "--step", step)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: step must be below 2, got {float(step)}\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--classes", "0"], "classes must be >= 2, got 0", id="classes-0"),
+            pytest.param(["--classes", "-1"], "classes must be >= 2, got -1", id="classes--1"),
+            pytest.param(["--classes", "1"], "classes must be >= 2, got 1", id="classes-1"),
+            pytest.param(
+                ["--batch-size", "-1"], "batch_size must be >= 1, got -1", id="batch-size--1"
+            ),
+            pytest.param(
+                ["--batch-size", "0"], "batch_size must be >= 1, got 0", id="batch-size-0"
+            ),
+        ],
+    )
+    def test_batch_shape_below_its_floor_exits_one(self, capsys, flags, message):
+        """The batch shape is checked before it is drawn, with train's floors."""
+        code, out, err = run_cli(capsys, "gradcheck", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: {message}\n")
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_tolerance_nothing_can_meet_exits_one(self, capsys, tol):
         """A NaN or negative tolerance is a usage error, not a check

@@ -530,6 +530,18 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="^step must be finite, got inf$"):
             loss_grad_check(ALL_SPECS[0], random_batch(0), step=math.inf)
 
+    @pytest.mark.parametrize("step, shown", [(2.0, r"2\.0"), (1e300, r"1e\+300")])
+    def test_rejects_a_step_that_clips_every_pair(self, step, shown):
+        """From a step of 2 on, every perturbed pair clips to -1 and 1, so
+        each difference is the secant over the whole interval."""
+        with pytest.raises(ValueError, match=f"^step must be below 2, got {shown}$"):
+            loss_grad_check(ALL_SPECS[0], random_batch(0), step=step)
+
+    def test_a_step_just_below_two_runs(self):
+        """Below 2 a cosine of 1 still has a non-zero span, so the check runs."""
+        batch = CosineBatch(np.array([[1.0, 0.0]]), np.array([0]))
+        assert loss_grad_check(ALL_SPECS[0], batch, step=1.99).max_abs_grad > 0
+
 
 class TestBinarySurface:
     def test_diagonal_value_for_n_softmax(self):

@@ -363,6 +363,12 @@ class TestParseTrialsChunks:
                 id="duplicate-trial-across-chunks-names-both-lines",
             ),
             pytest.param(
+                "1 a x\n0 b y\n1 a x\n1 a x\n",
+                SCORES_ABCD,
+                r"t\.txt:3: duplicate trial pair \(a, x\), first on line 1$",
+                id="two-repeats-in-one-chunk-name-the-earlier-chunks-line",
+            ),
+            pytest.param(
                 "1 a x\n",
                 "a x 0.1\nb y 0.2\nc z -Infinity\n",
                 r"s\.txt:3: score must be finite, got '-Infinity'$",
