@@ -91,7 +91,8 @@ def _with_config(subparsers, argv: list[str]) -> list[str]:
         if not sep:
             subparser.error(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         option = "--" + key.replace("_", "-")
-        if option not in subparser._option_string_actions:
+        # A spliced --config would be parsed, stored and never read.
+        if option not in subparser._option_string_actions or option == "--config":
             subparser.error(f"{path}:{lineno}: unknown config key {key!r}")
         tokens.append(f"{option}={value}")
     sub_index = argv.index(sub_name) + 1
@@ -164,6 +165,9 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    summary_path = args.summary_out or f"{args.out}.summary"
+    if os.path.abspath(summary_path) == os.path.abspath(args.out):
+        raise ValueError(f"--summary-out and --out both name {args.out}")
     config = TrainConfig(
         loss=_loss_spec(args),
         epochs=args.epochs,
@@ -179,7 +183,6 @@ def _cmd_train(args) -> int:
     )
     telemetry = train(config)
     telemetry.write_csv(args.out)
-    summary_path = args.summary_out or f"{args.out}.summary"
     telemetry.write_summary(summary_path)
     print(f"steps={len(telemetry.records)}")
     print(f"final_accuracy={telemetry.final_accuracy!r}")
@@ -190,9 +193,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    params = verif_metrics.DcfParams(args.p_target)
     trials = verif_metrics.parse_trials(args.trials, args.scores)
     eer, _ = verif_metrics.compute_eer(trials)
-    min_dcf = verif_metrics.compute_min_dcf(trials, verif_metrics.DcfParams(args.p_target))
+    min_dcf = verif_metrics.compute_min_dcf(trials, params)
     print(f"EER% {eer * 100.0:.4f}")
     print(f"minDCF {min_dcf:.4f}")
     return 0

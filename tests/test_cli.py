@@ -1,13 +1,14 @@
 """Tests for the command-line interface."""
 
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from chebymargin.cli import main
+from chebymargin.cli import SEED_ENV, main
 from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
 
 
@@ -94,11 +95,12 @@ class TestGradcheck:
         assert "gradcheck PASS" in out
         assert f" margin={margin} " in err
 
-    def test_fractional_asoftmax_margin_still_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "gradcheck", "--loss", "asoftmax", "--margin", "0.3")
+    @pytest.mark.parametrize("margin", ["0.3", "inf"])
+    def test_non_integer_asoftmax_margin_rejected(self, capsys, margin):
+        code, out, err = run_cli(capsys, "gradcheck", "--loss", "asoftmax", "--margin", margin)
         assert code == 1
         assert out == ""
-        assert "A-Softmax margin must be a positive integer, got 0.3" in err
+        assert err.endswith(f"A-Softmax margin must be a positive integer, got {float(margin)}\n")
 
     def test_step_too_small_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-20")
@@ -179,22 +181,46 @@ class TestScore:
         s.write_text(scores, encoding="utf-8")
         return str(t), str(s)
 
-    def test_perfect_separation(self, capsys, tmp_path):
-        t, s = self.write_files(
-            tmp_path,
-            "1 a x\n1 a y\n0 b x\n0 b y\n",
-            "a x 0.9\na y 0.8\nb x 0.2\nb y 0.1\n",
-        )
+    @pytest.mark.parametrize(
+        "trials, scores, printed",
+        [
+            pytest.param(
+                "1 a x\n1 a y\n0 b x\n0 b y\n",
+                "a x 0.9\na y 0.8\nb x 0.2\nb y 0.1\n",
+                "EER% 0.0000\nminDCF 0.0000\n",
+                id="perfect-separation",
+            ),
+            # CRLF endings, a blank line, score lines in another order and a
+            # target/non-target tie. Joined in file order instead, the same
+            # files give EER% 75.0000.
+            pytest.param(
+                "1 a x\r\n0 a y\r\n\r\n1 b z\r\n0 b w\r\n",
+                "b w 0.1\r\na x 0.9\r\nb z 0.5\r\na y 0.5\r\n",
+                "EER% 25.0000\nminDCF 0.5000\n",
+                id="joined-on-the-id-pair",
+            ),
+        ],
+    )
+    def test_prints_eer_and_min_dcf(self, capsys, tmp_path, trials, scores, printed):
+        t, s = self.write_files(tmp_path, trials, scores)
         code, out, _ = run_cli(capsys, "score", "--trials", t, "--scores", s)
         assert code == 0
-        assert "EER% 0.0000" in out
-        assert "minDCF 0.0000" in out
+        assert out == printed
 
     def test_missing_score_exits_one(self, capsys, tmp_path):
         t, s = self.write_files(tmp_path, "1 a x\n0 a y\n", "a x 0.9\n")
         code, _, err = run_cli(capsys, "score", "--trials", t, "--scores", s)
         assert code == 1
         assert "(a, y)" in err
+
+    def test_p_target_is_checked_before_the_files(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(
+            capsys, "score", "--trials", missing, "--scores", missing, "--p-target", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.endswith("error: p_target must be in (0, 1), got 0.0\n")
 
 
 class TestLandscapeCommand:
@@ -314,6 +340,19 @@ class TestRejectedSettings:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("summary", ["t.csv", "./t.csv"])
+    def test_train_rejects_summary_path_equal_to_out(self, capsys, tmp_path, summary):
+        """The summary would overwrite the telemetry CSV; nothing is trained."""
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            capsys, "train", "--epochs", "1", "--out", str(out_path),
+            "--summary-out", os.path.join(tmp_path, summary),
+        )
+        assert code == 1
+        assert err.endswith(f"error: --summary-out and --out both name {out_path}\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -413,6 +452,8 @@ class TestCliContract:
             ("lipschitz", "degree=4\nmargin=0.\udcff\n", "cfg:2: cannot decode byte 0xff as UTF-8"),
             # argparse would expand the prefix --loss to --losses.
             ("landscape", "loss=nsoftmax\n", "unknown config key 'loss'"),
+            # A nested config file would be stored and never read.
+            ("lipschitz", "config=other.cfg\ndegree=4\n", "cfg:1: unknown config key 'config'"),
         ],
     )
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path, sub, text, named):
@@ -430,32 +471,43 @@ class TestCliContract:
         assert stdout == ""
         assert not out.exists()
 
-    def test_seed_env_variable_sets_default(self, tmp_path, monkeypatch):
-        """The env seed changes the gradcheck batch; identical output
-        otherwise."""
-        env = {"CHEBYMARGIN_SEED": "123"}
+    @pytest.mark.parametrize(
+        "argv, seed, code, out, err_part",
+        [
+            # A bad env seed fails only the subcommands that take --seed.
+            ("lipschitz --margin 0.3 --degree 30", "abc", 0, "6.781421857737604\n", ""),
+            ("gradcheck", "abc", 1, "", "argument --seed: invalid int value: 'abc'\n"),
+            ("gradcheck --seed 3", "abc", 0, "...gradcheck PASS\n", " seed=3 "),
+            ("gradcheck --loss nsoftmax", "123", 0, "...gradcheck PASS\n", " seed=123 "),
+            ("gradcheck --tol 0", None, 2, "...gradcheck FAIL (tol 0.0)\n", ""),
+            ("score --trials T --scores S", None, 1, "",
+             "/t.txt:2: cannot decode byte 0xff as UTF-8\n"),
+        ],
+        ids=["bad-env-seed-ignored", "bad-env-seed-refused", "seed-flag-wins", "env-seed-default",
+             "check-failure-exits-two", "non-utf8-trial-file"],
+    )
+    def test_module_run_in_a_fresh_process(self, tmp_path, argv, seed, code, out, err_part):
+        """``python -m chebymargin.cli``: the exit status goes through
+        ``sys.exit(main())``, the env seed is read at start-up, and no error
+        prints a traceback. ``out`` is the whole stdout, or its tail after
+        ``...``. The cwd is kept, since PYTHONPATH may be relative."""
+        (tmp_path / "t.txt").write_bytes(b"1 a x\n0 a \xff\n")
+        (tmp_path / "s.txt").write_bytes(b"a x 0.9\na y 0.5\n")
+        paths = {"T": str(tmp_path / "t.txt"), "S": str(tmp_path / "s.txt")}
+        env = {key: value for key, value in os.environ.items() if key != SEED_ENV}
+        if seed is not None:
+            env[SEED_ENV] = seed
         result = subprocess.run(
-            [sys.executable, "-m", "chebymargin.cli", "gradcheck", "--loss", "nsoftmax"],
-            capture_output=True, text=True, env={**__import__("os").environ, **env},
+            [sys.executable, "-m", "chebymargin.cli", *[paths.get(a, a) for a in argv.split()]],
+            capture_output=True, text=True, env=env,
         )
-        assert result.returncode == 0
-        assert "seed=123" in result.stderr
-
-    def test_bad_seed_env_variable_only_fails_commands_with_seed(self, capsys, monkeypatch):
-        """The env seed is converted by argparse, and only for a subcommand
-        that has ``--seed``: ``lipschitz`` is unaffected, ``gradcheck`` is a
-        usage error naming the value, and an explicit ``--seed`` wins."""
-        monkeypatch.setenv("CHEBYMARGIN_SEED", "abc")
-        code, out, _ = run_cli(capsys, "lipschitz", "--margin", "0.3", "--degree", "30")
-        assert (code, out) == (0, "6.781421857737604\n")
-        code, out, err = run_cli(capsys, "gradcheck")
-        assert code == 1
-        assert "argument --seed: invalid int value: 'abc'" in err
-        assert out == ""
-        code, out, err = run_cli(capsys, "gradcheck", "--seed", "3")
-        assert code == 0
-        assert "seed=3 " in err
-        assert "gradcheck PASS" in out
+        assert result.returncode == code
+        if out.startswith("..."):
+            assert result.stdout.endswith(out[3:])
+        else:
+            assert result.stdout == out
+        assert err_part in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_resolved_configuration_printed(self, capsys):
         _, _, err = run_cli(capsys, "lipschitz", "--degree", "4")
