@@ -176,8 +176,7 @@ def exact_psi(x, margin: float):
     near the domain edges.
     """
     arr, scalar = _validate_eval_point(x)
-    # 1 - x^2 can round a hair below zero at |x| = 1.
-    sine = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
+    sine = np.sqrt(1.0 - arr * arr)
     return _maybe_scalar(arr * math.cos(margin) - sine * math.sin(margin), scalar)
 
 

@@ -7,6 +7,7 @@ written atomically (temp file, then rename).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -129,8 +130,9 @@ def derivative_gap(spec: LossSpec) -> GapReport:
 
     A hard example has nearly tied logits (A), an easy one a wide gap (B);
     a larger ratio means the loss focuses its corrective signal on hard
-    examples.
+    examples, and ``inf`` means B's gradient underflowed to 0.
     """
     out = loss_forward(spec, CosineBatch(np.array([POINT_A, POINT_B]), np.zeros(2, int)))
     grad_a, grad_b = np.abs(out.grad_cosines[:, 0]).tolist()
-    return GapReport(grad_a=grad_a, grad_b=grad_b, ratio=grad_a / grad_b)
+    ratio = grad_a / grad_b if grad_b else math.inf
+    return GapReport(grad_a=grad_a, grad_b=grad_b, ratio=ratio)

@@ -10,6 +10,7 @@ point.  EER linearly interpolates between the two operating points where
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class DcfParams:
         if not 0.0 < self.p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
         for name, cost in (("c_miss", self.c_miss), ("c_fa", self.c_fa)):
-            if not cost > 0:
-                raise ValueError(f"{name} must be positive, got {cost}")
+            if not 0.0 < cost < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {cost}")
 
 
 def _operating_points(trials: Trials):

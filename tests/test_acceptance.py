@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from chebymargin.cheby_core import (
-    approx_error_bound,
     clenshaw_eval,
     coefficients,
     exact_psi,
@@ -25,6 +24,7 @@ from chebymargin.landscape import derivative_gap
 from chebymargin.losses import CosineBatch, LossKind, LossSpec, loss_grad_check
 from chebymargin.toytrain import STABILITY_SCALE, TrainConfig, train
 from chebymargin.verif_metrics import DcfParams, Trials, compute_eer, compute_min_dcf
+from test_verif_metrics import brute_force_eer, brute_force_min_dcf
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -215,40 +215,6 @@ def test_criterion_6_desk_scale_stability():
     )
 
 
-def _brute_force_points(targets, nontargets):
-    values = sorted(set(targets) | set(nontargets))
-    thresholds = [values[0] - 1.0]
-    thresholds += [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-    thresholds += [values[-1] + 1.0]
-    points = []
-    for t in thresholds:
-        far = sum(1 for s in nontargets if s >= t) / len(nontargets)
-        frr = sum(1 for s in targets if s < t) / len(targets)
-        points.append((t, far, frr))
-    return points
-
-
-def _brute_force_eer(targets, nontargets):
-    points = _brute_force_points(targets, nontargets)
-    for (t0, far0, frr0), (t1, far1, frr1) in zip(points, points[1:]):
-        d0, d1 = far0 - frr0, far1 - frr1
-        if d1 <= 0.0 <= d0:
-            if d1 == 0.0:
-                return frr1
-            if d0 == 0.0:
-                return frr0
-            alpha = d0 / (d0 - d1)
-            return frr0 + alpha * (frr1 - frr0)
-    raise AssertionError("no crossing")
-
-
-def _brute_force_min_dcf(targets, nontargets, params):
-    points = _brute_force_points(targets, nontargets)
-    miss = params.c_miss * params.p_target
-    fa = params.c_fa * (1.0 - params.p_target)
-    return min(miss * frr + fa * far for _, far, frr in points) / min(miss, fa)
-
-
 def test_criterion_7_metric_oracle_equivalence():
     """EER and minDCF match an exhaustive threshold sweep on 1000 random
     score sets, plus the degenerate-detector edge cases."""
@@ -263,9 +229,9 @@ def test_criterion_7_metric_oracle_equivalence():
         nontargets = list(rng.normal(-0.5, 1.0, n_n))
         scores = Trials(targets + nontargets, [True] * n_t + [False] * n_n)
         eer, _ = compute_eer(scores)
-        worst_eer = max(worst_eer, abs(eer - _brute_force_eer(targets, nontargets)))
+        worst_eer = max(worst_eer, abs(eer - brute_force_eer(targets, nontargets)[0]))
         dcf = compute_min_dcf(scores, params)
-        worst_dcf = max(worst_dcf, abs(dcf - _brute_force_min_dcf(targets, nontargets, params)))
+        worst_dcf = max(worst_dcf, abs(dcf - brute_force_min_dcf(targets, nontargets, params)))
 
     perfect = Trials([0.9, 0.1], [True, False])
     eer_perfect, _ = compute_eer(perfect)

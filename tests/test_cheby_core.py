@@ -38,19 +38,7 @@ def quadrature_coefficient(margin, k, nodes=20000):
     return (1.0 if k == 0 else 2.0) / math.pi * integral
 
 
-def naive_series_sum(series, x):
-    """Independent oracle: direct summation of a_k T_k(x), with the T_k(x)
-    columns built by numpy's Chebyshev Vandermonde matrix."""
-    return np.polynomial.chebyshev.chebvander(x, series.degree) @ series.coefficients
-
-
 class TestCoefficients:
-    def test_reference_values_for_margin_02(self):
-        """a_0..a_4 of the degree-30 series at margin 0.2."""
-        series = coefficients(0.2, 30)
-        expected = [-0.1265, 0.98007, 0.08433, 0.0, 0.01687]
-        np.testing.assert_allclose(series.coefficients[:5], expected, atol=5e-4)
-
     def test_zero_margin_is_identity_series(self):
         series = coefficients(0.0, 6)
         assert series.coefficients[1] == 1.0
@@ -110,18 +98,6 @@ class TestClenshaw:
         exact = 0.5 * math.cos(0.3) - math.sqrt(0.75) * math.sin(0.3)
         assert exact == pytest.approx(0.22174, abs=1e-5)
         assert abs(value - exact) <= approx_error_bound(0.3, 30)
-
-    @pytest.mark.parametrize("margin", MARGINS)
-    @pytest.mark.parametrize("degree", DEGREES)
-    def test_matches_naive_summation(self, margin, degree):
-        """Clenshaw agrees with direct a_k T_k summation to 1e-12 on
-        1000 random points."""
-        series = coefficients(margin, degree)
-        rng = np.random.default_rng(1234)
-        x = rng.uniform(-1.0, 1.0, 1000)
-        np.testing.assert_allclose(
-            clenshaw_eval(series, x), naive_series_sum(series, x), atol=1e-12
-        )
 
     def test_matches_numpy_chebval(self):
         """Cross-check against an unrelated Chebyshev implementation."""
@@ -309,12 +285,6 @@ class TestSeriesDerivative:
         for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
             assert series_derivative(series, x) == pytest.approx(1.0, abs=1e-15)
 
-    def test_matches_finite_difference_of_clenshaw(self):
-        series = coefficients(0.3, 30)
-        h = 1e-5
-        fd = (clenshaw_eval(series, 0.5 + h) - clenshaw_eval(series, 0.5 - h)) / (2 * h)
-        assert series_derivative(series, 0.5) == pytest.approx(fd, rel=1e-6)
-
     def test_endpoint_closed_form(self):
         """At x=1 every U_{2k-1}(1) = 2k, giving a finite closed form."""
         series = coefficients(0.3, 30)
@@ -326,18 +296,6 @@ class TestSeriesDerivative:
         value = series_derivative(series, 1.0)
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value == pytest.approx(6.78, abs=5e-3)
-
-    def test_gradient_consistency_on_random_points(self):
-        """Analytic derivative matches central differences at 1e-6 relative
-        on 1000 random points in [-0.99, 0.99]."""
-        series = coefficients(0.3, 30)
-        rng = np.random.default_rng(42)
-        x = rng.uniform(-0.99, 0.99, 1000)
-        h = 1e-5
-        fd = (clenshaw_eval(series, x + h) - clenshaw_eval(series, x - h)) / (2 * h)
-        analytic = series_derivative(series, x)
-        rel = np.abs(fd - analytic) / np.maximum(1e-12, np.abs(analytic))
-        assert rel.max() < 1e-6
 
 
 class TestSeriesHessian:
@@ -384,18 +342,6 @@ class TestSeriesHessian:
         h = 1e-7
         fd = (series_derivative(series, x + h) - series_derivative(series, x - h)) / (2 * h)
         assert interior == pytest.approx(fd, rel=1e-4)
-
-    def test_hessian_consistency_grid(self):
-        """FD of the first derivative reproduces the Hessian to 1e-5
-        relative across [-0.99, 0.99] (step 2e-5; at 1e-4 the stencil's own
-        truncation error h^2 f''''/6 exceeds the gate near |x| ~ 0.97)."""
-        series = coefficients(0.3, 30)
-        x = np.linspace(-0.99, 0.99, 2001)
-        h = 2e-5
-        fd = (series_derivative(series, x + h) - series_derivative(series, x - h)) / (2 * h)
-        analytic = series_hessian(series, x)
-        rel = np.abs(fd - analytic) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(analytic)))
-        assert rel.max() < 1e-5
 
 
 LIPSCHITZ_MARGINS = [0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 1.5707]
@@ -517,22 +463,6 @@ class TestErrorBound:
 
 
 class TestBoundedVersusExploding:
-    def test_series_bounded_while_exact_derivative_explodes(self):
-        """The series transform has a small Lipschitz constant while the
-        exact transform's derivative is unbounded as x -> 1."""
-        series = coefficients(0.3, 30)
-        assert lipschitz_constant(series) < 10
-        assert exact_psi_grad(1 - 1e-6, 0.3) > 100
-
-    def test_explosion_rate_contrast(self):
-        near = exact_psi_grad(1 - 1e-6, 0.3)
-        nearer = exact_psi_grad(1 - 1e-10, 0.3)
-        assert nearer >= 10 * near
-        series = coefficients(0.3, 30)
-        s_near = series_derivative(series, 1 - 1e-6)
-        s_nearer = series_derivative(series, 1 - 1e-10)
-        assert abs(s_nearer - s_near) / abs(s_near) < 0.01
-
     def test_exact_hessian_edge_clamp(self):
         """At exactly |x| = 1 the exact derivative forms return the value
         at the clamped abscissa instead of dividing by zero."""

@@ -1,0 +1,53 @@
+"""The figure-data and stability scripts, each run as a fresh process at a
+small size and checked by what it writes."""
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from chebymargin.landscape import derivative_gap
+from chebymargin.losses import LossKind, LossSpec
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *argv):
+    """Run ``scripts/NAME`` in the test's cwd, where a relative
+    ``PYTHONPATH=src`` still finds the package; return its stdout."""
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    return result.stdout
+
+
+def test_export_figure_data(tmp_path):
+    run_script(
+        "export_figure_data.py", "--grid", "101", "--surface-grid", "11", "--outdir", str(tmp_path)
+    )
+    for name in ("curves_m0.3.csv", "surfaces_m0.3.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name
+    with open(tmp_path / "gap_sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = [(float(r["scale"]), r["loss"], float(r["ratio"])) for r in csv.DictReader(fh)]
+    assert rows == [
+        (scale, spec.kind.value, derivative_gap(spec).ratio)
+        for scale in (1.0, 30.0, 32.0, 64.0)
+        for spec in (
+            LossSpec(LossKind.AAM_SOFTMAX, margin=0.3, scale=scale),
+            LossSpec(LossKind.CHEBY_AAM, margin=0.3, scale=scale, degree=30),
+        )
+    ]
+
+
+def test_stability_comparison(tmp_path):
+    out = run_script(
+        "stability_comparison.py", "--epochs", "1", "--margins", "0.3", "--outdir", str(tmp_path)
+    )
+    header, *rows = out.splitlines()
+    assert header.split() == ["margin", "loss", "accuracy", "grad_max", "nan"]
+    assert [row.split()[:2] for row in rows] == [["0.3", kind.value] for kind in LossKind]
+    for tag in ("nsoftmax_m0", "asoftmax_m2", "amsoftmax_m0.3", "aamsoftmax_m0.3", "chebyaam_m0.3"):
+        for ext in ("csv", "summary"):
+            assert (tmp_path / f"telemetry_{tag}.{ext}").stat().st_size > 0, f"{tag}.{ext}"

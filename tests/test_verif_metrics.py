@@ -219,12 +219,16 @@ class TestMinDcf:
     def test_params_validation(self):
         with pytest.raises(ValueError, match=r"^p_target must be in \(0, 1\), got 0\.0$"):
             DcfParams(p_target=0.0)
-        with pytest.raises(ValueError, match=r"^c_miss must be positive, got -1\.0$"):
+        with pytest.raises(ValueError, match=r"^c_miss must be positive and finite, got -1\.0$"):
             DcfParams(c_miss=-1.0)
-        with pytest.raises(ValueError, match=r"^c_fa must be positive, got 0$"):
+        with pytest.raises(ValueError, match=r"^c_miss must be positive and finite, got inf$"):
+            DcfParams(c_miss=math.inf)
+        with pytest.raises(ValueError, match=r"^c_fa must be positive and finite, got 0$"):
             DcfParams(c_fa=0)
-        with pytest.raises(ValueError, match=r"^c_fa must be positive, got nan$"):
+        with pytest.raises(ValueError, match=r"^c_fa must be positive and finite, got nan$"):
             DcfParams(c_fa=math.nan)
+        with pytest.raises(ValueError, match=r"^c_fa must be positive and finite, got inf$"):
+            DcfParams(c_fa=math.inf)
 
 
 class TestTrials:
