@@ -14,14 +14,14 @@ import os
 
 from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
-from chebymargin.losses import LossKind, LossSpec
+from chebymargin.losses import LossKind, LossSpec, default_margin
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--margin", type=float, default=0.3)
+    parser.add_argument("--margin", type=float, default=default_margin(LossKind.CHEBY_AAM))
     parser.add_argument("--degrees", default="2,30")
-    parser.add_argument("--scale", type=float, default=32.0)
+    parser.add_argument("--scale", type=float, default=LossSpec.scale)
     parser.add_argument("--grid", type=int, default=2001)
     parser.add_argument("--surface-grid", type=int, default=201)
     parser.add_argument("--outdir", default="out")

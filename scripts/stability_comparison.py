@@ -17,7 +17,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--margins", default="0.3,0.5")
     parser.add_argument("--scale", type=float, default=STABILITY_SCALE)
-    parser.add_argument("--degree", type=int, default=30)
+    parser.add_argument("--degree", type=int, default=LossSpec.degree)
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outdir", default="out")

@@ -179,7 +179,6 @@ def _cmd_train(args) -> int:
         num_classes=args.classes,
         samples_per_class=args.samples_per_class,
         spread=args.spread,
-        momentum=args.momentum,
     )
     telemetry = train(config)
     telemetry.write_csv(args.out)
@@ -195,7 +194,7 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     params = verif_metrics.DcfParams(args.p_target)
     trials = verif_metrics.parse_trials(args.trials, args.scores)
-    eer, _ = verif_metrics.compute_eer(trials)
+    eer = verif_metrics.compute_eer(trials)
     min_dcf = verif_metrics.compute_min_dcf(trials, params)
     print(f"EER% {eer * 100.0:.4f}")
     print(f"minDCF {min_dcf:.4f}")
@@ -208,15 +207,23 @@ def _add_margin_flag(sub):
         "--margin",
         type=float,
         default=argparse.SUPPRESS,
-        help="margin (default: 2 for asoftmax, an integer multiplier; 0.3 otherwise)",
+        help=f"margin (default: {default_margin(LossKind.A_SOFTMAX):g} for asoftmax, "
+        f"an integer multiplier; {default_margin(LossKind.CHEBY_AAM)} otherwise)",
     )
+
+
+def _add_series_flags(sub):
+    sub.add_argument(
+        "--margin", type=float, default=default_margin(LossKind.CHEBY_AAM), help="margin in radians"
+    )
+    sub.add_argument("--degree", type=int, default=LossSpec.degree, help="series degree")
 
 
 def _add_loss_flags(sub):
     sub.add_argument("--loss", choices=LOSS_CHOICES, default="chebyaam", help="loss kind")
     _add_margin_flag(sub)
-    sub.add_argument("--scale", type=float, default=32.0, help="logit scale factor")
-    sub.add_argument("--degree", type=int, default=30, help="series degree")
+    sub.add_argument("--scale", type=float, default=LossSpec.scale, help="logit scale factor")
+    sub.add_argument("--degree", type=int, default=LossSpec.degree, help="series degree")
 
 
 def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
@@ -242,12 +249,10 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
         return sub
 
     sub = add("coeffs", _cmd_coeffs, "print the series coefficients as k,a_k CSV")
-    sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
-    sub.add_argument("--degree", type=int, default=30, help="series degree")
+    _add_series_flags(sub)
 
     sub = add("eval-psi", _cmd_eval_psi, "evaluate the exact and series transforms at x")
-    sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
-    sub.add_argument("--degree", type=int, default=30, help="series degree")
+    _add_series_flags(sub)
     sub.add_argument("--x", type=float, default=0.5, help="cosine evaluation point")
 
     sub = add("gradcheck", _cmd_gradcheck, "finite-difference check of the analytic gradient")
@@ -259,15 +264,14 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="batch seed")
 
     sub = add("lipschitz", _cmd_lipschitz, "exact Lipschitz constant f'(1) of the series transform")
-    sub.add_argument("--margin", type=float, default=0.3, help="margin in radians")
-    sub.add_argument("--degree", type=int, default=30, help="series degree")
+    _add_series_flags(sub)
 
     sub = add("landscape", _cmd_landscape, "export curve or surface CSV data")
     sub.add_argument("--kind", choices=["curves", "surfaces"], default="curves")
     _add_margin_flag(sub)
     sub.add_argument("--degrees", default="2,30", help="comma list of degrees (curves)")
-    sub.add_argument("--degree", type=int, default=30, help="series degree (surfaces)")
-    sub.add_argument("--scale", type=float, default=32.0, help="logit scale (surfaces)")
+    sub.add_argument("--degree", type=int, default=LossSpec.degree, help="series degree (surfaces)")
+    sub.add_argument("--scale", type=float, default=LossSpec.scale, help="logit scale (surfaces)")
     sub.add_argument(
         "--losses",
         default="nsoftmax,aamsoftmax,chebyaam",
@@ -286,7 +290,6 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--classes", type=int, default=16, help="number of classes")
     sub.add_argument("--samples-per-class", type=int, default=200, help="points per class")
     sub.add_argument("--spread", type=float, default=0.005, help="cluster noise scale")
-    sub.add_argument("--momentum", type=float, default=0.0, help="SGD momentum")
     sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="run seed")
     sub.add_argument("--out", required=True, help="telemetry CSV path")
     sub.add_argument("--summary-out", default=None, help="summary path (default OUT.summary)")

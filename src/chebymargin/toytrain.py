@@ -44,7 +44,6 @@ class TrainConfig:
     num_classes: int = 16
     samples_per_class: int = 200
     spread: float = 0.005
-    momentum: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.peak_lr < math.inf:
@@ -55,9 +54,8 @@ class TrainConfig:
         for name, low in floors.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, value in (("spread", self.spread), ("momentum", self.momentum)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        if not 0.0 <= self.spread < math.inf:
+            raise ValueError(f"spread must be non-negative and finite, got {self.spread}")
 
 
 @dataclass
@@ -158,7 +156,6 @@ def train(config: TrainConfig) -> TrainTelemetry:
     data = make_sphere_clusters(config)
     rng = np.random.default_rng([config.seed, 1])
     weights = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
-    velocity = np.zeros_like(weights)
 
     n = data.labels.size
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
@@ -192,10 +189,9 @@ def train(config: TrainConfig) -> TrainTelemetry:
         if finite:
             telemetry.grad_norm_max = max(telemetry.grad_norm_max, grad_norm)
             weight_grad = out.grad_cosines.T @ points / labels.size
-            velocity = config.momentum * velocity + weight_grad
             # overflow here is handled by the halt below, not raised
             with np.errstate(over="ignore", invalid="ignore"):
-                weights = _unit_rows(weights - lr * velocity)
+                weights = _unit_rows(weights - lr * weight_grad)
         if not (finite and np.isfinite(weights).all()):
             telemetry.nan_step = step
             break

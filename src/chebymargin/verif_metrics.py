@@ -1,10 +1,11 @@
 """Verification scoring: EER and minimum DCF of scored trials.
 
-Both metrics depend only on the ordering of scores.  The threshold sweep
-walks every distinct operating point of the decision rule
-``accept iff score >= t``; ties in score collapse to a single operating
-point.  EER linearly interpolates between the two operating points where
-``FAR - FRR`` changes sign.
+Both metrics depend only on the ordering of scores.  The sweep cuts the
+decision rule ``accept iff score >= v`` at each distinct score ``v`` in
+increasing order, then at ``+inf``; ties in score collapse to a single
+operating point.  ``compute_eer`` returns the rate alone, linearly
+interpolated between the two operating points where ``FAR - FRR`` changes
+sign.
 """
 
 from __future__ import annotations
@@ -65,44 +66,37 @@ class DcfParams:
 
 
 def _operating_points(trials: Trials):
-    """Thresholds with the FAR/FRR of ``accept iff score >= t`` at each.
+    """FAR and FRR of ``accept iff score >= v`` at each cut ``v``.
 
-    Candidate thresholds are midpoints between consecutive distinct scores
-    plus one sentinel below the minimum (accept everything) and one above
-    the maximum (reject everything); that covers every achievable
-    operating point exactly once.
+    The cuts are the distinct scores in increasing order, then ``+inf``:
+    the first accepts every trial and the last rejects every trial, so
+    each achievable operating point appears exactly once.
     """
     targets = np.sort(trials.scores[trials.is_target])
     nontargets = np.sort(trials.scores[~trials.is_target])
     if targets.size == 0 or nontargets.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
-    values = np.unique(trials.scores)
-    thresholds = np.concatenate(
-        [[values[0] - 1.0], (values[:-1] + values[1:]) / 2.0, [values[-1] + 1.0]]
-    )
-    far = 1.0 - np.searchsorted(nontargets, thresholds, side="left") / nontargets.size
-    frr = np.searchsorted(targets, thresholds, side="left") / targets.size
-    return thresholds, far, frr
+    cuts = np.append(np.unique(trials.scores), np.inf)
+    far = 1.0 - np.searchsorted(nontargets, cuts, side="left") / nontargets.size
+    frr = np.searchsorted(targets, cuts, side="left") / targets.size
+    return far, frr
 
 
-def compute_eer(trials: Trials) -> tuple[float, float]:
-    """Equal error rate and the interpolated crossing threshold.
+def compute_eer(trials: Trials) -> float:
+    """Equal error rate.
 
-    ``FAR - FRR`` is non-increasing along the sweep; the rate is linearly
+    ``FAR - FRR`` is non-increasing along the cuts; the rate is linearly
     interpolated between the two adjacent operating points where the sign
     changes.
     """
-    thresholds, far, frr = _operating_points(trials)
+    far, frr = _operating_points(trials)
     diff = far - frr
-    # diff starts at +1 and ends at -1, so a sign change always exists.
-    idx = int(np.nonzero(diff <= 0)[0][0])
-    if idx == 0 or diff[idx] == 0.0:
-        return float(frr[idx]), float(thresholds[idx])
-    span = diff[idx - 1] - diff[idx]
-    alpha = diff[idx - 1] / span
-    eer = frr[idx - 1] + alpha * (frr[idx] - frr[idx - 1])
-    threshold = thresholds[idx - 1] + alpha * (thresholds[idx] - thresholds[idx - 1])
-    return float(eer), float(threshold)
+    # diff is +1 at the first cut and -1 at +inf, so 0 < idx < diff.size.
+    idx = int(np.argmax(diff <= 0))
+    if diff[idx] == 0.0:
+        return float(frr[idx])
+    alpha = diff[idx - 1] / (diff[idx - 1] - diff[idx])
+    return float(frr[idx - 1] + alpha * (frr[idx] - frr[idx - 1]))
 
 
 def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
@@ -112,7 +106,7 @@ def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     ``min(c_miss p_t, c_fa (1 - p_t))``, the better of the two
     score-blind decisions, so the value lies in [0, 1].
     """
-    _, far, frr = _operating_points(trials)
+    far, frr = _operating_points(trials)
     miss_cost = params.c_miss * params.p_target
     fa_cost = params.c_fa * (1.0 - params.p_target)
     costs = miss_cost * frr + fa_cost * far

@@ -228,13 +228,13 @@ def test_criterion_7_metric_oracle_equivalence():
         targets = list(rng.normal(0.5, 1.0, n_t))
         nontargets = list(rng.normal(-0.5, 1.0, n_n))
         scores = Trials(targets + nontargets, [True] * n_t + [False] * n_n)
-        eer, _ = compute_eer(scores)
-        worst_eer = max(worst_eer, abs(eer - brute_force_eer(targets, nontargets)[0]))
+        eer = compute_eer(scores)
+        worst_eer = max(worst_eer, abs(eer - brute_force_eer(targets, nontargets)))
         dcf = compute_min_dcf(scores, params)
         worst_dcf = max(worst_dcf, abs(dcf - brute_force_min_dcf(targets, nontargets, params)))
 
     perfect = Trials([0.9, 0.1], [True, False])
-    eer_perfect, _ = compute_eer(perfect)
+    eer_perfect = compute_eer(perfect)
     dcf_perfect = compute_min_dcf(perfect, params)
     blind = Trials([0.5, 0.3, 0.5, 0.3], [True, True, False, False])
     dcf_blind = compute_min_dcf(blind, params)

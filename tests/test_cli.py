@@ -199,6 +199,20 @@ class TestScore:
                 "EER% 25.0000\nminDCF 0.5000\n",
                 id="joined-on-the-id-pair",
             ),
+            # Scores one ulp apart, then scores too large for ``v + 1.0``
+            # to differ from ``v``: every distinct score is still a cut.
+            pytest.param(
+                "1 a x\n0 a y\n",
+                "a x 0.10000000000000002\na y 0.1\n",
+                "EER% 0.0000\nminDCF 0.0000\n",
+                id="one-ulp-apart",
+            ),
+            pytest.param(
+                "1 a x\n0 a y\n0 a z\n",
+                "a x 2e16\na y 2e16\na z 1e16\n",
+                "EER% 33.3333\nminDCF 1.0000\n",
+                id="beyond-2**54",
+            ),
         ],
     )
     def test_prints_eer_and_min_dcf(self, capsys, tmp_path, trials, scores, printed):
@@ -324,8 +338,6 @@ class TestRejectedSettings:
             ("--scale", "inf"),
             ("--peak-lr", "nan"),
             ("--spread", "nan"),
-            ("--momentum", "nan"),
-            ("--momentum", "-3.0"),
             ("--warmup-fraction", "1.5"),
             ("--batch-size", "0"),
         ],

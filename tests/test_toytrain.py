@@ -80,9 +80,6 @@ class TestSphereClusters:
             ("peak_lr", math.inf, "peak_lr must be positive and finite, got inf"),
             ("spread", math.nan, "spread must be non-negative and finite, got nan"),
             ("spread", math.inf, "spread must be non-negative and finite, got inf"),
-            ("momentum", math.nan, "momentum must be non-negative and finite, got nan"),
-            ("momentum", math.inf, "momentum must be non-negative and finite, got inf"),
-            ("momentum", -3.0, "momentum must be non-negative and finite, got -3.0"),
         ],
     )
     def test_rejects_non_finite_or_negative_setting(self, field, value, message):

@@ -79,32 +79,25 @@ def reference_join(trial_file, scores_file):
 
 
 def brute_force_sweep(targets, nontargets):
-    """Oracle: count-based FAR/FRR at every midpoint threshold plus the
-    accept-all / reject-all sentinels, via explicit loops."""
-    values = sorted(set(targets) | set(nontargets))
-    thresholds = [values[0] - 1.0]
-    thresholds += [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-    thresholds += [values[-1] + 1.0]
+    """Oracle: count-based ``(FAR, FRR)`` of ``accept iff s >= t`` at every
+    distinct score ``t`` and at ``+inf`` (reject all), via explicit loops."""
     points = []
-    for t in thresholds:
+    for t in sorted(set(targets) | set(nontargets)) + [math.inf]:
         far = sum(1 for s in nontargets if s >= t) / len(nontargets)
         frr = sum(1 for s in targets if s < t) / len(targets)
-        points.append((t, far, frr))
+        points.append((far, frr))
     return points
 
 
 def brute_force_eer(targets, nontargets):
     """Oracle EER: linear interpolation at the FAR-FRR sign change."""
     points = brute_force_sweep(targets, nontargets)
-    for (t0, far0, frr0), (t1, far1, frr1) in zip(points, points[1:]):
+    for (far0, frr0), (far1, frr1) in zip(points, points[1:]):
         d0, d1 = far0 - frr0, far1 - frr1
         if d1 <= 0.0 <= d0:
             if d1 == 0.0:
-                return frr1, t1
-            if d0 == 0.0:
-                return frr0, t0
-            alpha = d0 / (d0 - d1)
-            return frr0 + alpha * (frr1 - frr0), t0 + alpha * (t1 - t0)
+                return frr1
+            return frr0 + d0 / (d0 - d1) * (frr1 - frr0)
     raise AssertionError("no crossing found")
 
 
@@ -112,24 +105,36 @@ def brute_force_min_dcf(targets, nontargets, params):
     points = brute_force_sweep(targets, nontargets)
     miss = params.c_miss * params.p_target
     fa = params.c_fa * (1.0 - params.p_target)
-    best = min(miss * frr + fa * far for _, far, frr in points)
+    best = min(miss * frr + fa * far for far, frr in points)
     return best / min(miss, fa)
+
+
+# Scores whose midpoints or ``+-1`` neighbours round onto a score: each
+# value and its one-ulp neighbour, some at or above 2**54 where ``v + 1.0 == v``.
+ULP_LATTICE = np.array([0.1, 1e16, 2.0**54, 2e16, -2e16])
+ULP_LATTICE = np.append(ULP_LATTICE, np.nextafter(ULP_LATTICE, np.inf))
+
+
+def draw_scores(data, n_t, n_n, seed):
+    """Target and non-target scores, from two normals or from ``ULP_LATTICE``."""
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="lattice"):
+        return list(rng.choice(ULP_LATTICE, n_t)), list(rng.choice(ULP_LATTICE, n_n))
+    return list(rng.normal(0.5, 1.0, n_t)), list(rng.normal(-0.5, 1.0, n_n))
 
 
 class TestEer:
     def test_perfect_separation(self):
-        eer, _ = compute_eer(make_scores([0.9, 0.8], [0.2, 0.1]))
+        eer = compute_eer(make_scores([0.9, 0.8], [0.2, 0.1]))
         assert eer == 0.0
 
     def test_interleaved_half(self):
-        eer, threshold = compute_eer(make_scores([0.9, 0.1], [0.8, 0.2]))
-        oracle_eer, oracle_t = brute_force_eer([0.9, 0.1], [0.8, 0.2])
-        assert eer == pytest.approx(oracle_eer, abs=1e-12)
-        assert threshold == pytest.approx(oracle_t, abs=1e-12)
+        eer = compute_eer(make_scores([0.9, 0.1], [0.8, 0.2]))
+        assert eer == pytest.approx(brute_force_eer([0.9, 0.1], [0.8, 0.2]), abs=1e-12)
         assert eer == 0.5
 
     def test_flipped_labels_give_one(self):
-        eer, _ = compute_eer(make_scores([0.2, 0.1], [0.9, 0.8]))
+        eer = compute_eer(make_scores([0.2, 0.1], [0.9, 0.8]))
         assert eer == 1.0
 
     def test_rejects_single_class(self):
@@ -142,13 +147,9 @@ class TestEer:
         n_t = data.draw(st.integers(1, 25))
         n_n = data.draw(st.integers(1, 25))
         seed = data.draw(st.integers(0, 2**31))
-        rng = np.random.default_rng(seed)
-        targets = list(rng.normal(0.5, 1.0, n_t))
-        nontargets = list(rng.normal(-0.5, 1.0, n_n))
-        eer, threshold = compute_eer(make_scores(targets, nontargets))
-        oracle_eer, oracle_t = brute_force_eer(targets, nontargets)
-        assert eer == pytest.approx(oracle_eer, abs=1e-12)
-        assert threshold == pytest.approx(oracle_t, abs=1e-12)
+        targets, nontargets = draw_scores(data, n_t, n_n, seed)
+        eer = compute_eer(make_scores(targets, nontargets))
+        assert eer == pytest.approx(brute_force_eer(targets, nontargets), abs=1e-12)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -157,9 +158,9 @@ class TestEer:
         rng = np.random.default_rng(seed)
         targets = list(rng.normal(0.3, 1.0, 12))
         nontargets = list(rng.normal(-0.3, 1.0, 15))
-        base, _ = compute_eer(make_scores(targets, nontargets))
+        base = compute_eer(make_scores(targets, nontargets))
         warp = lambda s: math.tanh(s) * 3.0 + 0.1 * s
-        warped, _ = compute_eer(
+        warped = compute_eer(
             make_scores([warp(s) for s in targets], [warp(s) for s in nontargets])
         )
         assert warped == pytest.approx(base, abs=1e-12)
@@ -171,8 +172,8 @@ class TestEer:
         rng = np.random.default_rng(seed)
         targets = list(rng.normal(0.4, 1.0, 10))
         nontargets = list(rng.normal(-0.4, 1.0, 10))
-        base, _ = compute_eer(make_scores(targets, nontargets))
-        flipped, _ = compute_eer(
+        base = compute_eer(make_scores(targets, nontargets))
+        flipped = compute_eer(
             make_scores([-s for s in nontargets], [-s for s in targets])
         )
         assert flipped == pytest.approx(base, abs=1e-12)
@@ -201,9 +202,7 @@ class TestMinDcf:
         n_n = data.draw(st.integers(1, 25))
         seed = data.draw(st.integers(0, 2**31))
         p_target = data.draw(st.sampled_from([0.01, 0.05, 0.5]))
-        rng = np.random.default_rng(seed)
-        targets = list(rng.normal(0.5, 1.0, n_t))
-        nontargets = list(rng.normal(-0.5, 1.0, n_n))
+        targets, nontargets = draw_scores(data, n_t, n_n, seed)
         params = DcfParams(p_target=p_target)
         value = compute_min_dcf(make_scores(targets, nontargets), params)
         oracle = brute_force_min_dcf(targets, nontargets, params)
@@ -229,6 +228,21 @@ class TestMinDcf:
             DcfParams(c_fa=math.nan)
         with pytest.raises(ValueError, match=r"^c_fa must be positive and finite, got inf$"):
             DcfParams(c_fa=math.inf)
+
+
+@pytest.mark.parametrize(
+    "targets, nontargets, eer, min_dcf",
+    [
+        pytest.param([0.10000000000000002], [0.1], 0.0, 0.0, id="one-ulp-apart"),
+        pytest.param([2e16], [2e16, 1e16], 1 / 3, 1.0, id="beyond-2**54"),
+    ],
+)
+def test_operating_point_at_every_distinct_score(targets, nontargets, eer, min_dcf):
+    """No operating point is lost where neighbouring scores are one ulp
+    apart or too large for ``v + 1.0`` to differ from ``v``."""
+    trials = make_scores(targets, nontargets)
+    assert compute_eer(trials) == eer
+    assert compute_min_dcf(trials) == min_dcf
 
 
 class TestTrials:
