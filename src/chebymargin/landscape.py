@@ -2,14 +2,18 @@
 
 Numbers are written with ``repr`` (shortest round-trip decimal), so parsing
 an exported file reproduces the in-memory values exactly.  Files are
-written atomically (temp file, then rename).
+written atomically (temp file, then rename), their rows formatted on every
+CPU in the process's affinity mask.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,6 +27,10 @@ HESSIAN_BLANK_MARGIN = 1e-3
 
 POINT_A = (0.8, 0.8)
 POINT_B = (0.8, 0.2)
+
+# Rows per block a child sends back; as one write batch of
+# ``write_lines_atomic`` it is also the shortest share worth a process.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -82,14 +90,19 @@ def export_curves(
 
     bundle = CurveBundle(x=x, columns=columns)
     if out_path is not None:
-        # Lazy per-column cells, zipped into rows as they are written; a NaN
-        # (v != v) is an empty cell.
-        cells = [map(repr, x.tolist())] + [
-            ("" if v != v else repr(v) for v in col.tolist()) for col in columns.values()
-        ]
-        rows = map(",".join, zip(*cells))
-        write_lines_atomic(out_path, chain(["x," + ",".join(columns)], rows))
+        header = "x," + ",".join(columns)
+        _write_rows(out_path, header, x.size, partial(_curve_rows, x, columns))
     return bundle
+
+
+def _curve_rows(x: np.ndarray, columns: dict, start: int, stop: int):
+    """Rows ``[start, stop)`` of the curves CSV: lazy per-column cells,
+    zipped into rows as they are consumed; a NaN (v != v) is an empty cell."""
+    cells = [map(repr, x[start:stop].tolist())] + [
+        ("" if v != v else repr(v) for v in col[start:stop].tolist())
+        for col in columns.values()
+    ]
+    return map(",".join, zip(*cells))
 
 
 def export_surfaces(specs, grid_n: int, out_path: str | None = None) -> SurfaceBundle:
@@ -110,19 +123,123 @@ def export_surfaces(specs, grid_n: int, out_path: str | None = None) -> SurfaceB
 
     bundle = SurfaceBundle(axis=axis, surfaces=surfaces)
     if out_path is not None:
-        write_lines_atomic(out_path, _surface_lines(axis, surfaces))
+        n_rows = len(surfaces) * axis.size**2
+        rows = partial(_surface_rows, axis, surfaces)
+        _write_rows(out_path, "loss,s_p,s_n,dL_dsp", n_rows, rows)
     return bundle
 
 
-def _surface_lines(axis: np.ndarray, surfaces: dict):
-    """Header, then the long-format rows; the axis cells are formatted once."""
-    yield "loss,s_p,s_n,dL_dsp"
+def _surface_rows(axis: np.ndarray, surfaces: dict, start: int, stop: int):
+    """Rows ``[start, stop)`` of the long-format surfaces CSV, which holds
+    one ``(loss, s_p)`` line of ``axis.size`` rows per surface row; the axis
+    cells are formatted once."""
+    n = axis.size
     axis_cells = list(map(repr, axis.tolist()))
-    for label, surface in surfaces.items():
-        for sp, row in zip(axis_cells, surface.tolist()):
-            prefix = f"{label},{sp},"
-            for sn, value in zip(axis_cells, row):
-                yield f"{prefix}{sn},{value!r}"
+    labels, grids = list(surfaces), list(surfaces.values())
+    for line in range(start // n, -(-stop // n)):
+        k, i = divmod(line, n)
+        lo, hi = max(start - line * n, 0), min(stop - line * n, n)
+        prefix = f"{labels[k]},{axis_cells[i]},"
+        for sn, value in zip(axis_cells[lo:hi], grids[k][i, lo:hi].tolist()):
+            yield f"{prefix}{sn},{value!r}"
+
+
+def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
+    """Write ``header`` and rows ``[0, n_rows)`` through ``write_lines_atomic``,
+    formatted on every CPU the process may use.
+
+    ``format_rows(start, stop)`` gives rows ``[start, stop)`` as lines.  The
+    rows split into contiguous shares, one per CPU in the affinity mask, but
+    none shorter than ``_BLOCK_ROWS``.  This process formats share 0 while a
+    forked child formats each other share; the children's rows are relayed
+    after it in share order, so the bytes are those of a single process.  A
+    child that fails makes the write raise before the rename, and every
+    child is reaped before this returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shares = max(1, min(cpus, n_rows // _BLOCK_ROWS))
+    bounds = [n_rows * k // shares for k in range(shares + 1)]
+    children: dict = {}  # pid -> (read end of its pipe, its rows' range)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            pid, reader = _fork_share(format_rows, start, stop)
+            children[pid] = reader, (start, stop)
+        own = format_rows(0, bounds[1])
+        write_lines_atomic(out_path, chain([header], own, _relay(children)))
+    finally:
+        if children:
+            import signal
+
+            for pid, (reader, _) in children.items():
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_share(format_rows, start: int, stop: int):
+    """Fork a child that formats rows ``[start, stop)`` into memory, then
+    sends them over a pipe in length-prefixed blocks of ``_BLOCK_ROWS`` rows;
+    return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that fork() in a multi-threaded process may
+            # deadlock the child, and OpenBLAS's worker pool makes every numpy
+            # process multi-threaded.  OpenBLAS stops its pool at fork, and the
+            # child only formats str and leaves through os._exit.
+            warnings.filterwarnings(
+                "ignore",
+                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The child leaves through os._exit alone: it must neither return to
+        # the caller nor flush the buffers it inherited, such as stdout's.
+        status = 1
+        try:
+            os.close(read_fd)
+            rows = iter(format_rows(start, stop))
+            blocks = []
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                blocks.append("\n".join(block).encode())
+            with open(write_fd, "wb") as pipe:
+                for data in blocks:
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _relay(children: dict):
+    """The children's rows in share order, one block in memory at a time.
+
+    Each child is reaped once its pipe is drained and dropped from
+    ``children``; a non-zero exit status raises, since its share may be cut
+    short.
+    """
+    for pid, (reader, (start, stop)) in list(children.items()):
+        with reader:
+            while size := reader.read(8):
+                yield from reader.read(int.from_bytes(size, "little")).decode().split("\n")
+        status = os.waitpid(pid, 0)[1]
+        del children[pid]
+        if status:
+            raise ChildProcessError(
+                f"formatting CSV rows {start}..{stop - 1} failed in a child "
+                f"process (exit status {os.waitstatus_to_exitcode(status)})"
+            )
 
 
 def derivative_gap(spec: LossSpec) -> GapReport:

@@ -2,11 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from chebymargin import cheby_core
+from chebymargin import cheby_core, landscape
 from chebymargin.cheby_core import approx_error_bound, coefficients, lipschitz_constant
 from chebymargin.landscape import (
     HESSIAN_BLANK_MARGIN,
@@ -74,32 +79,188 @@ def oracle_surfaces_csv(specs, grid_n) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def surface_specs(margin):
+    return [
+        LossSpec(LossKind.N_SOFTMAX, scale=32.0),
+        LossSpec(LossKind.AAM_SOFTMAX, margin=margin, scale=32.0),
+        LossSpec(LossKind.CHEBY_AAM, margin=margin, scale=4.0, degree=2),
+    ]
+
+
+def fake_cpus(monkeypatch, cpus, children=None):
+    """Give the process ``cpus`` CPUs, or no ``os.sched_getaffinity`` when
+    None, and return the list of forks made.  With ``children`` 0 a fork
+    raises, so an export that passes started no process."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        affinity = lambda pid: set(range(cpus))  # noqa: E731
+        monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        if children == 0:
+            raise AssertionError("an export of a single share forked")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child():
+    """The calling process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestExportBytes:
-    """The streamed exports write exactly the cell-by-cell oracle's bytes."""
+    """The streamed exports write exactly the cell-by-cell oracle's bytes,
+    whether one process formats the rows or several share them."""
 
     @pytest.mark.parametrize("margin", [0.0, 0.3])
-    @pytest.mark.parametrize("grid_n", [2, 7, 10, 4001])
-    def test_curves_match_oracle(self, tmp_path, margin, grid_n):
+    @pytest.mark.parametrize(
+        "grid_n, cpus, children",
+        [
+            # On three CPUs up to 1023 rows make one share, 2500 rows two
+            # and 3100 or 4001 rows three.
+            *(pytest.param(n, 3, 0, id=str(n)) for n in (2, 7, 10)),
+            pytest.param(4001, 3, 2, id="4001"),
+            pytest.param(3100, 3, 2, id="3100"),
+            pytest.param(2500, 3, 1, id="2500"),
+            pytest.param(4001, 1, 0, id="4001-1cpu"),
+            pytest.param(4001, None, 0, id="4001-no-affinity"),
+        ],
+    )
+    def test_curves_match_oracle(self, tmp_path, monkeypatch, margin, grid_n, cpus, children):
+        forks = fake_cpus(monkeypatch, cpus, children)
         out = tmp_path / "curves.csv"
         degrees = [1, 2, 5, 30]
         export_curves(margin, degrees, grid_n, str(out))
+        assert len(forks) == children
+        assert_no_child()
         data = out.read_bytes()
         assert data == oracle_curves_csv(margin, degrees, grid_n)
-        if grid_n == 4001:
-            # Blank psi_d2 cells beyond the endpoints are exercised.
-            assert data.split(b"\n")[2].split(b",")[3] == b""
+        if grid_n > 10:
+            # Blank psi_d2 cells beyond both endpoints are exercised, the
+            # last ones in the last share.
+            lines = data.split(b"\n")
+            assert lines[2].split(b",")[3] == lines[-3].split(b",")[3] == b""
 
     @pytest.mark.parametrize("margin", [0.0, 0.3])
-    @pytest.mark.parametrize("grid_n", [2, 5, 8])
-    def test_surfaces_match_oracle(self, tmp_path, margin, grid_n):
+    @pytest.mark.parametrize(
+        "grid_n, children",
+        [
+            # On three CPUs the 3267 rows of grid 33 make three shares, one
+            # per loss, and the 2187 of grid 27 two, split inside a line.
+            *(pytest.param(n, 0, id=str(n)) for n in (2, 5, 8)),
+            pytest.param(33, 2, id="33"),
+            pytest.param(27, 1, id="27"),
+        ],
+    )
+    def test_surfaces_match_oracle(self, tmp_path, monkeypatch, margin, grid_n, children):
+        forks = fake_cpus(monkeypatch, 3, children)
         out = tmp_path / "surf.csv"
-        specs = [
-            LossSpec(LossKind.N_SOFTMAX, scale=32.0),
-            LossSpec(LossKind.AAM_SOFTMAX, margin=margin, scale=32.0),
-            LossSpec(LossKind.CHEBY_AAM, margin=margin, scale=4.0, degree=2),
-        ]
+        specs = surface_specs(margin)
         export_surfaces(specs, grid_n, str(out))
+        assert len(forks) == children
+        assert_no_child()
         assert out.read_bytes() == oracle_surfaces_csv(specs, grid_n)
+
+
+class TestExportProcesses:
+    """Three-share exports on three CPUs: a failure anywhere keeps the old
+    target, leaves no temp file and no child process."""
+
+    EXPORTS = {
+        "curves": ("_curve_rows", 3100, lambda out: export_curves(0.3, [2, 30], 3100, out)),
+        "surfaces": (
+            "_surface_rows", 3267, lambda out: export_surfaces(surface_specs(0.3), 33, out)
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "failure, raised",
+        [
+            # The last share's child fails after the first child's rows were
+            # relayed: its exit status is all that stops the rename.
+            ("child", ChildProcessError),
+            ("parent", RuntimeError),
+            ("interrupt", KeyboardInterrupt),
+        ],
+    )
+    @pytest.mark.parametrize("export", ["curves", "surfaces"])
+    def test_failed_share_leaves_nothing_behind(
+        self, tmp_path, monkeypatch, capfd, export, failure, raised
+    ):
+        name, n_rows, run = self.EXPORTS[export]
+        format_rows = getattr(landscape, name)
+
+        def failing_rows(*args):
+            start, stop = args[-2:]
+            rows = format_rows(*args)
+            if (stop == n_rows) if failure == "child" else (start == 0):
+                yield from islice(rows, 100)
+                if failure == "interrupt":
+                    raise KeyboardInterrupt
+                raise RuntimeError("formatting failed")
+            yield from rows
+
+        fake_cpus(monkeypatch, 3)
+        monkeypatch.setattr(landscape, name, failing_rows)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old,bytes\n")
+        with pytest.raises(raised):
+            run(str(out))
+        assert out.read_bytes() == b"old,bytes\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert_no_child()
+        if failure == "child":
+            assert "RuntimeError: formatting failed" in capfd.readouterr().err
+
+    def test_children_flush_no_inherited_buffer(self, tmp_path):
+        """A child leaves through ``os._exit``: text still in the parent's
+        stdout buffer at the fork is written once, not once per process."""
+        code = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "from chebymargin.landscape import export_curves\n"
+            "print('buffered')\n"
+            f"export_curves(0.3, [2, 30], 3100, {str(tmp_path / 'c.csv')!r})\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "buffered\n"
+
+    def test_unwritable_target_leaves_no_child(self, tmp_path, monkeypatch):
+        forks = fake_cpus(monkeypatch, 3)
+        _, _, run = self.EXPORTS["curves"]
+        with pytest.raises(FileNotFoundError):
+            run(str(tmp_path / "missing" / "out.csv"))
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_python_3_12_fork_warning_is_not_emitted(self, tmp_path, monkeypatch):
+        """Python 3.12+ warns at a fork in a multi-threaded process, which
+        OpenBLAS makes of any numpy process; the export does not pass it on."""
+        fake_cpus(monkeypatch, 3)
+        counting_fork = os.fork
+
+        def warning_fork():
+            message = (
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child."
+            )
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.EXPORTS["curves"][2](str(tmp_path / "out.csv"))
+        assert [str(w.message) for w in caught] == []
+        assert_no_child()
 
 
 class TestExportCurves:

@@ -204,9 +204,14 @@ class TestTrain:
                 ticks += int(fields[11]) + int(fields[12])  # utime, stime
             return ticks
 
+        # OpenBLAS stops its worker pool at fork (as a multi-CPU landscape
+        # export does) and starts it again for the next product large enough
+        # to thread, so this one makes the workers exist to be watched.
+        square = np.ones((512, 512))
+        square @ square
         if len(os.listdir("/proc/self/task")) < 2:
-            pytest.skip("the process has no thread besides the main one")
-        time.sleep(0.5)  # let workers busy-waiting after earlier tests settle
+            pytest.skip("BLAS runs single-threaded: no worker thread to watch")
+        time.sleep(0.5)  # let workers busy-waiting after that product settle
         before = other_threads_cpu_ticks()
         train(TrainConfig(loss=CHEBY, epochs=1))
         time.sleep(0.3)
