@@ -28,7 +28,7 @@ def main():
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    degrees = [int(d) for d in args.degrees.split(",")]
+    degrees = [int(d) for d in args.degrees.split(",") if d]
 
     curves_path = os.path.join(args.outdir, f"curves_m{args.margin:g}.csv")
     export_curves(args.margin, degrees, args.grid, curves_path)

@@ -18,14 +18,14 @@ def main():
     parser.add_argument("--margins", default="0.3,0.5")
     parser.add_argument("--scale", type=float, default=STABILITY_SCALE)
     parser.add_argument("--degree", type=int, default=LossSpec.degree)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
-    for margin in (float(m) for m in args.margins.split(",")):
+    for margin in (float(m) for m in args.margins.split(",") if m):
         for kind in LossKind:
             # N-Softmax runs without a margin; A-Softmax, whose margin is an
             # integer multiplier, at its default.

@@ -64,15 +64,18 @@ def _with_config(subparsers, argv: list[str]) -> list[str]:
     checks it like a flag and explicit flags, which come later, win.
     """
     sub_name = next((token for token in argv if not token.startswith("-")), None)
-    path = None
-    for token, following in zip(argv, argv[1:] + [None]):
-        if token == "--config":
-            path = following
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    paths = [
+        following if token == "--config" else token.split("=", 1)[1]
+        for token, following in zip(argv, argv[1:] + [None])
+        if token == "--config" or token.startswith("--config=")
+    ]
     subparser = subparsers.choices.get(sub_name)
-    if subparser is None or path is None:
+    # A --config without its file is left to argparse to refuse.
+    if subparser is None or not paths or None in paths:
         return argv
+    path, *later = paths
+    if later:  # only one file would be read
+        subparser.error(f"argument --config: given more than once: {', '.join(paths)}")
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()
@@ -119,6 +122,8 @@ def _cmd_eval_psi(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     if not args.tol >= 0:
         raise ValueError(f"tol must be non-negative, got {args.tol!r}")
     if args.batch_size < 1:
@@ -165,15 +170,12 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    summary_path = args.summary_out or f"{args.out}.summary"
-    if os.path.abspath(summary_path) == os.path.abspath(args.out):
-        raise ValueError(f"--summary-out and --out both name {args.out}")
+    summary_path = f"{args.out}.summary"
     config = TrainConfig(
         loss=_loss_spec(args),
         epochs=args.epochs,
         batch_size=args.batch_size,
         peak_lr=args.peak_lr,
-        warmup_fraction=args.warmup_fraction,
         seed=args.seed,
         dim=args.dim,
         num_classes=args.classes,
@@ -236,6 +238,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
         allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    default_seed = os.environ.get(SEED_ENV, TrainConfig.seed)
 
     def add(name, func, help_text):
         sub = subparsers.add_parser(
@@ -261,7 +264,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     sub.add_argument("--classes", type=int, default=16, help="columns in the random batch")
     sub.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     sub.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
-    sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="batch seed")
+    sub.add_argument("--seed", type=int, default=default_seed, help="batch seed")
 
     sub = add("lipschitz", _cmd_lipschitz, "exact Lipschitz constant f'(1) of the series transform")
     _add_series_flags(sub)
@@ -282,22 +285,24 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
 
     sub = add("train", _cmd_train, "train the toy cosine classifier and dump telemetry")
     _add_loss_flags(sub)
-    sub.add_argument("--epochs", type=int, default=30, help="training epochs")
-    sub.add_argument("--batch-size", type=int, default=64, help="SGD batch size")
-    sub.add_argument("--peak-lr", type=float, default=0.2, help="peak learning rate")
-    sub.add_argument("--warmup-fraction", type=float, default=0.1, help="warmup span")
-    sub.add_argument("--dim", type=int, default=32, help="embedding dimension")
-    sub.add_argument("--classes", type=int, default=16, help="number of classes")
-    sub.add_argument("--samples-per-class", type=int, default=200, help="points per class")
-    sub.add_argument("--spread", type=float, default=0.005, help="cluster noise scale")
-    sub.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"), help="run seed")
-    sub.add_argument("--out", required=True, help="telemetry CSV path")
-    sub.add_argument("--summary-out", default=None, help="summary path (default OUT.summary)")
+    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    sub.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
+    sub.add_argument("--peak-lr", type=float, default=TrainConfig.peak_lr, help="peak step size")
+    sub.add_argument("--dim", type=int, default=TrainConfig.dim, help="embedding dimension")
+    sub.add_argument("--classes", type=int, default=TrainConfig.num_classes, help="class count")
+    sub.add_argument(
+        "--samples-per-class", type=int, default=TrainConfig.samples_per_class, help="class size"
+    )
+    sub.add_argument("--spread", type=float, default=TrainConfig.spread, help="cluster noise scale")
+    sub.add_argument("--seed", type=int, default=default_seed, help="run seed")
+    sub.add_argument("--out", required=True, help="telemetry CSV; summary to OUT.summary")
 
     sub = add("score", _cmd_score, "EER and minDCF from trial and score files")
     sub.add_argument("--trials", required=True, help="trial list: label enroll test")
     sub.add_argument("--scores", required=True, help="score list: enroll test score")
-    sub.add_argument("--p-target", type=float, default=0.01, help="target prior")
+    sub.add_argument(
+        "--p-target", type=float, default=verif_metrics.DcfParams.p_target, help="target prior"
+    )
 
     return parser, subparsers
 

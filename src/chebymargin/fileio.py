@@ -3,6 +3,9 @@
 import os
 from itertools import islice
 
+# Lines per write call: a call costs about as much as formatting a line.
+LINES_PER_WRITE = 1024
+
 
 def write_lines_atomic(path: str, lines) -> None:
     """Write ``lines``, each followed by a newline, to ``path`` atomically.
@@ -23,9 +26,7 @@ def write_lines_atomic(path: str, lines) -> None:
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             lines = iter(lines)
-            # One write call per 1024 lines: a call costs about as much as
-            # formatting a line.
-            while chunk := list(islice(lines, 1024)):
+            while chunk := list(islice(lines, LINES_PER_WRITE)):
                 fh.write("\n".join(chunk) + "\n")
         try:
             os.replace(tmp, path)

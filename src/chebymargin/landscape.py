@@ -18,7 +18,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import cheby_core
-from .fileio import write_lines_atomic
+from .fileio import LINES_PER_WRITE, write_lines_atomic
 from .losses import CosineBatch, LossSpec, binary_derivative_surface, loss_forward
 
 # The exact second derivative grows like (1 - x^2)^{-3/2}; within this
@@ -27,10 +27,6 @@ HESSIAN_BLANK_MARGIN = 1e-3
 
 POINT_A = (0.8, 0.8)
 POINT_B = (0.8, 0.2)
-
-# Rows per block a child sends back; as one write batch of
-# ``write_lines_atomic`` it is also the shortest share worth a process.
-_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -150,14 +146,15 @@ def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
 
     ``format_rows(start, stop)`` gives rows ``[start, stop)`` as lines.  The
     rows split into contiguous shares, one per CPU in the affinity mask, but
-    none shorter than ``_BLOCK_ROWS``.  This process formats share 0 while a
-    forked child formats each other share; the children's rows are relayed
-    after it in share order, so the bytes are those of a single process.  A
-    child that fails makes the write raise before the rename, and every
-    child is reaped before this returns or raises.
+    none shorter than one write batch of ``LINES_PER_WRITE`` lines.  This
+    process formats share 0 while a forked child formats each other share;
+    the children's rows are relayed after it in share order, so the bytes
+    are those of a single process.  A child that fails makes the write raise
+    before the rename, and every child is reaped before this returns or
+    raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shares = max(1, min(cpus, n_rows // _BLOCK_ROWS))
+    shares = max(1, min(cpus, n_rows // LINES_PER_WRITE))
     bounds = [n_rows * k // shares for k in range(shares + 1)]
     children: dict = {}  # pid -> (read end of its pipe, its rows' range)
     try:
@@ -178,8 +175,8 @@ def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
 
 def _fork_share(format_rows, start: int, stop: int):
     """Fork a child that formats rows ``[start, stop)`` into memory, then
-    sends them over a pipe in length-prefixed blocks of ``_BLOCK_ROWS`` rows;
-    return its pid and the pipe's read end."""
+    sends them over a pipe in length-prefixed blocks of ``LINES_PER_WRITE``
+    rows; return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -205,7 +202,7 @@ def _fork_share(format_rows, start: int, stop: int):
             os.close(read_fd)
             rows = iter(format_rows(start, stop))
             blocks = []
-            while block := list(islice(rows, _BLOCK_ROWS)):
+            while block := list(islice(rows, LINES_PER_WRITE)):
                 blocks.append("\n".join(block).encode())
             with open(write_fd, "wb") as pipe:
                 for data in blocks:

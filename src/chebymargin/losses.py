@@ -282,7 +282,7 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
     )
 
 
-def binary_derivative_surface(spec: LossSpec, grid_n: int = 201):
+def binary_derivative_surface(spec: LossSpec, grid_n: int):
     """Derivative of the two-class loss with respect to the target logit.
 
     Evaluates the loss on every node of a ``grid_n x grid_n`` grid over

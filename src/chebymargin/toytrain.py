@@ -26,6 +26,9 @@ from .losses import CosineBatch, LossSpec, loss_forward
 # pulling aligned samples toward cosine 1, and the two losses separate.
 STABILITY_SCALE = 4.0
 
+# Share of the steps spent ramping the learning rate up to ``peak_lr``.
+WARMUP_FRACTION = 0.1
+
 TELEMETRY_HEADER = "step,lr,mean_loss,grad_norm,max_target_cosine"
 
 
@@ -38,7 +41,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     peak_lr: float = 0.2
-    warmup_fraction: float = 0.1
     seed: int = 0
     dim: int = 32
     num_classes: int = 16
@@ -48,9 +50,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.peak_lr < math.inf:
             raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        floors = {"epochs": 0, "batch_size": 1, "dim": 2, "num_classes": 2, "samples_per_class": 1}
+        floors = dict(epochs=0, batch_size=1, seed=0, dim=2, num_classes=2, samples_per_class=1)
         for name, low in floors.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -172,7 +172,7 @@ def train(config: TrainConfig) -> TrainTelemetry:
         cosines = (points @ weights.T).clip(-1.0, 1.0)
         out = loss_forward(config.loss, CosineBatch(cosines, labels))
 
-        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, config.warmup_fraction)
+        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
         grad_norm = float(np.abs(out.grad_cosines).max())
         telemetry.records.append(
             StepRecord(

@@ -11,7 +11,6 @@ sign.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +50,14 @@ class Trials:
 
 @dataclass(frozen=True)
 class DcfParams:
-    """Detection cost parameters; defaults follow the common benchmark setup."""
+    """Detection cost parameters: the target prior, with unit miss and
+    false-alarm costs as in the VoxCeleb, SITW and CN-Celeb evaluations."""
 
     p_target: float = 0.01
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        for name, cost in (("c_miss", self.c_miss), ("c_fa", self.c_fa)):
-            if not 0.0 < cost < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {cost}")
 
 
 def _operating_points(trials: Trials):
@@ -102,15 +97,13 @@ def compute_eer(trials: Trials) -> float:
 def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     """Minimum normalized detection cost over all thresholds.
 
-    ``min_t [c_miss p_t FRR(t) + c_fa (1 - p_t) FAR(t)]`` divided by
-    ``min(c_miss p_t, c_fa (1 - p_t))``, the better of the two
-    score-blind decisions, so the value lies in [0, 1].
+    ``min_t [p_t FRR(t) + (1 - p_t) FAR(t)]`` divided by
+    ``min(p_t, 1 - p_t)``, the better of the two score-blind decisions,
+    so the value lies in [0, 1].
     """
     far, frr = _operating_points(trials)
-    miss_cost = params.c_miss * params.p_target
-    fa_cost = params.c_fa * (1.0 - params.p_target)
-    costs = miss_cost * frr + fa_cost * far
-    return float(np.min(costs) / min(miss_cost, fa_cost))
+    p = params.p_target
+    return float(np.min(p * frr + (1.0 - p) * far) / min(p, 1.0 - p))
 
 
 _SCORE_FORMAT = "'enroll test score'"

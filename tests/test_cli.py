@@ -133,10 +133,12 @@ class TestGradcheck:
             pytest.param(
                 ["--batch-size", "0"], "batch_size must be >= 1, got 0", id="batch-size-0"
             ),
+            pytest.param(["--seed", "-1"], "seed must be >= 0, got -1", id="seed--1"),
         ],
     )
     def test_batch_shape_below_its_floor_exits_one(self, capsys, flags, message):
-        """The batch shape is checked before it is drawn, with train's floors."""
+        """The batch shape and seed are checked before the batch is drawn,
+        with train's floors."""
         code, out, err = run_cli(capsys, "gradcheck", *flags)
         assert code == 1
         assert out == ""
@@ -338,8 +340,8 @@ class TestRejectedSettings:
             ("--scale", "inf"),
             ("--peak-lr", "nan"),
             ("--spread", "nan"),
-            ("--warmup-fraction", "1.5"),
             ("--batch-size", "0"),
+            ("--seed", "-1"),
         ],
     )
     def test_train_rejects_non_finite_setting(self, capsys, tmp_path, flag, value):
@@ -352,18 +354,23 @@ class TestRejectedSettings:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("summary", ["t.csv", "./t.csv"])
-    def test_train_rejects_summary_path_equal_to_out(self, capsys, tmp_path, summary):
-        """The summary would overwrite the telemetry CSV; nothing is trained."""
+    @pytest.mark.parametrize("key, value", [("summary_out", "s.txt"), ("warmup_fraction", "0.2")])
+    def test_removed_train_setting_is_refused(self, capsys, tmp_path, key, value):
+        """Neither a flag nor a config key: the summary is always OUT.summary
+        and the warmup spans a fixed tenth of the steps."""
         out_path = tmp_path / "t.csv"
-        code, out, err = run_cli(
-            capsys, "train", "--epochs", "1", "--out", str(out_path),
-            "--summary-out", os.path.join(tmp_path, summary),
-        )
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, "train", flag, value, "--out", str(out_path))
         assert code == 1
-        assert err.endswith(f"error: --summary-out and --out both name {out_path}\n")
+        assert f"error: unrecognized arguments: {flag} {value}\n" in err
         assert out == ""
-        assert list(tmp_path.iterdir()) == []
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(out_path))
+        assert code == 1
+        assert err.endswith(f"run.cfg:1: unknown config key {key!r}\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -446,6 +453,31 @@ class TestCliContract:
         assert len(values) == 5
         assert values[1] == pytest.approx(math.cos(0.2), abs=1e-12)
 
+    def test_repeated_config_is_refused(self, capsys, tmp_path):
+        """Only the last file would be read, silently dropping the keys of the others."""
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("degree=4\n", encoding="utf-8")
+        second.write_text("margin=0.3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "lipschitz", "--config", str(first), f"--config={second}")
+        assert code == 1
+        assert err.endswith(
+            f"chebymargin lipschitz: error: argument --config: given more than once: "
+            f"{first}, {second}\n"
+        )
+        assert out == ""
+
+    def test_default_train_config_line(self, capsys, monkeypatch, tmp_path):
+        """Every ``train`` default, as the resolved configuration shows it."""
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        out_path = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "train", "--out", str(out_path))
+        assert code == 0
+        assert err == (
+            "# config batch_size=64 classes=16 degree=30 dim=32 epochs=30 loss=chebyaam "
+            f"margin=0.3 out={out_path} peak_lr=0.2 samples_per_class=200 scale=32.0 "
+            "seed=0 spread=0.005 subcommand=train\n"
+        )
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("nonsense=1\n", encoding="utf-8")
@@ -490,12 +522,14 @@ class TestCliContract:
             ("lipschitz --margin 0.3 --degree 30", "abc", 0, "6.781421857737604\n", ""),
             ("gradcheck", "abc", 1, "", "argument --seed: invalid int value: 'abc'\n"),
             ("gradcheck --seed 3", "abc", 0, "...gradcheck PASS\n", " seed=3 "),
+            ("gradcheck", "-1", 1, "", "gradcheck: error: seed must be >= 0, got -1\n"),
             ("gradcheck --loss nsoftmax", "123", 0, "...gradcheck PASS\n", " seed=123 "),
             ("gradcheck --tol 0", None, 2, "...gradcheck FAIL (tol 0.0)\n", ""),
             ("score --trials T --scores S", None, 1, "",
              "/t.txt:2: cannot decode byte 0xff as UTF-8\n"),
         ],
-        ids=["bad-env-seed-ignored", "bad-env-seed-refused", "seed-flag-wins", "env-seed-default",
+        ids=["bad-env-seed-ignored", "bad-env-seed-refused", "seed-flag-wins",
+             "negative-env-seed-refused", "env-seed-default",
              "check-failure-exits-two", "non-utf8-trial-file"],
     )
     def test_module_run_in_a_fresh_process(self, tmp_path, argv, seed, code, out, err_part):

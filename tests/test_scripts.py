@@ -24,11 +24,15 @@ def run_script(name, *argv):
 
 
 def test_export_figure_data(tmp_path):
+    """An empty entry in ``--degrees`` is skipped, as the CLI skips it."""
     run_script(
-        "export_figure_data.py", "--grid", "101", "--surface-grid", "11", "--outdir", str(tmp_path)
+        "export_figure_data.py", "--degrees", "2,,30", "--grid", "101", "--surface-grid", "11",
+        "--outdir", str(tmp_path),
     )
-    for name in ("curves_m0.3.csv", "surfaces_m0.3.csv"):
-        assert (tmp_path / name).stat().st_size > 0, name
+    with open(tmp_path / "curves_m0.3.csv", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    assert header[4:] == [f"cheb{d}{suffix}" for d in (2, 30) for suffix in ("", "_d1", "_d2")]
+    assert (tmp_path / "surfaces_m0.3.csv").stat().st_size > 0
     with open(tmp_path / "gap_sweep.csv", newline="", encoding="utf-8") as fh:
         rows = [(float(r["scale"]), r["loss"], float(r["ratio"])) for r in csv.DictReader(fh)]
     assert rows == [
@@ -42,12 +46,18 @@ def test_export_figure_data(tmp_path):
 
 
 def test_stability_comparison(tmp_path):
+    """An empty entry in ``--margins`` is skipped, as the CLI skips it."""
     out = run_script(
-        "stability_comparison.py", "--epochs", "1", "--margins", "0.3", "--outdir", str(tmp_path)
+        "stability_comparison.py", "--epochs", "1", "--margins", "0.3,,0.5",
+        "--outdir", str(tmp_path),
     )
     header, *rows = out.splitlines()
     assert header.split() == ["margin", "loss", "accuracy", "grad_max", "nan"]
-    assert [row.split()[:2] for row in rows] == [["0.3", kind.value] for kind in LossKind]
-    for tag in ("nsoftmax_m0", "asoftmax_m2", "amsoftmax_m0.3", "aamsoftmax_m0.3", "chebyaam_m0.3"):
+    assert [row.split()[:2] for row in rows] == [
+        [margin, kind.value] for margin in ("0.3", "0.5") for kind in LossKind
+    ]
+    angular = ("amsoftmax", "aamsoftmax", "chebyaam")
+    tags = ["nsoftmax_m0", "asoftmax_m2"] + [f"{k}_m{m}" for m in (0.3, 0.5) for k in angular]
+    for tag in tags:
         for ext in ("csv", "summary"):
             assert (tmp_path / f"telemetry_{tag}.{ext}").stat().st_size > 0, f"{tag}.{ext}"

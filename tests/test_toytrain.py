@@ -89,12 +89,11 @@ class TestSphereClusters:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("warmup_fraction", 0.0, r"warmup_fraction must be in \(0, 1\), got 0\.0"),
-            ("warmup_fraction", 1.0, r"warmup_fraction must be in \(0, 1\), got 1\.0"),
             ("batch_size", 0, "batch_size must be >= 1, got 0"),
             ("num_classes", 1, "num_classes must be >= 2, got 1"),
             ("epochs", -1, "epochs must be >= 0, got -1"),
             ("samples_per_class", 0, "samples_per_class must be >= 1, got 0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
         ],
     )
     def test_rejects_out_of_range_setting(self, field, value, message):
