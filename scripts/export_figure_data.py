@@ -11,6 +11,7 @@ Writes, into --outdir:
 
 import argparse
 import os
+import sys
 
 from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
@@ -26,9 +27,10 @@ def main():
     parser.add_argument("--surface-grid", type=int, default=201)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
-
-    os.makedirs(args.outdir, exist_ok=True)
     degrees = [int(d) for d in args.degrees.split(",") if d]
+    if not degrees:
+        sys.exit(f"{parser.prog}: error: --degrees needs at least one degree, got {args.degrees!r}")
+    os.makedirs(args.outdir, exist_ok=True)
 
     curves_path = os.path.join(args.outdir, f"curves_m{args.margin:g}.csv")
     export_curves(args.margin, degrees, args.grid, curves_path)

@@ -8,6 +8,7 @@ and whether anything went non-finite.  Telemetry CSVs land in --outdir.
 
 import argparse
 import os
+import sys
 
 from chebymargin.losses import LossKind, LossSpec
 from chebymargin.toytrain import STABILITY_SCALE, TrainConfig, train
@@ -22,10 +23,13 @@ def main():
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
+    margins = [float(m) for m in args.margins.split(",") if m]
+    if not margins:
+        sys.exit(f"{parser.prog}: error: --margins needs at least one margin, got {args.margins!r}")
     os.makedirs(args.outdir, exist_ok=True)
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
-    for margin in (float(m) for m in args.margins.split(",") if m):
+    for margin in margins:
         for kind in LossKind:
             # N-Softmax runs without a margin; A-Softmax, whose margin is an
             # integer multiplier, at its default.

@@ -9,15 +9,13 @@ CPU in the process's affinity mask.
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 
 import numpy as np
 
-from . import cheby_core
+from . import _forking, cheby_core
 from .fileio import LINES_PER_WRITE, write_lines_atomic
 from .losses import CosineBatch, LossSpec, binary_derivative_surface, loss_forward
 
@@ -153,89 +151,43 @@ def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
     before the rename, and every child is reaped before this returns or
     raises.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shares = max(1, min(cpus, n_rows // LINES_PER_WRITE))
+    shares = max(1, min(_forking.usable_cpus(), n_rows // LINES_PER_WRITE))
     bounds = [n_rows * k // shares for k in range(shares + 1)]
-    children: dict = {}  # pid -> (read end of its pipe, its rows' range)
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            pid, reader = _fork_share(format_rows, start, stop)
-            children[pid] = reader, (start, stop)
+    with _forking.Children() as children:
+        readers = [
+            (children.start(partial(_send_share, format_rows, start, stop)), start, stop)
+            for start, stop in zip(bounds[1:-1], bounds[2:])
+        ]
         own = format_rows(0, bounds[1])
-        write_lines_atomic(out_path, chain([header], own, _relay(children)))
-    finally:
-        if children:
-            import signal
-
-            for pid, (reader, _) in children.items():
-                reader.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        write_lines_atomic(out_path, chain([header], own, _relay(children, readers)))
 
 
-def _fork_share(format_rows, start: int, stop: int):
-    """Fork a child that formats rows ``[start, stop)`` into memory, then
-    sends them over a pipe in length-prefixed blocks of ``LINES_PER_WRITE``
-    rows; return its pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that fork() in a multi-threaded process may
-            # deadlock the child, and OpenBLAS's worker pool makes every numpy
-            # process multi-threaded.  OpenBLAS stops its pool at fork, and the
-            # child only formats str and leaves through os._exit.
-            warnings.filterwarnings(
-                "ignore",
-                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-                DeprecationWarning,
-            )
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # The child leaves through os._exit alone: it must neither return to
-        # the caller nor flush the buffers it inherited, such as stdout's.
-        status = 1
-        try:
-            os.close(read_fd)
-            rows = iter(format_rows(start, stop))
-            blocks = []
-            while block := list(islice(rows, LINES_PER_WRITE)):
-                blocks.append("\n".join(block).encode())
-            with open(write_fd, "wb") as pipe:
-                for data in blocks:
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            status = 0
-        except BaseException:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+def _send_share(format_rows, start: int, stop: int, pipe) -> None:
+    """Format rows ``[start, stop)`` into memory, then send them over
+    ``pipe`` in length-prefixed blocks of ``LINES_PER_WRITE`` rows."""
+    rows = iter(format_rows(start, stop))
+    blocks = []
+    while block := list(islice(rows, LINES_PER_WRITE)):
+        blocks.append("\n".join(block).encode())
+    for data in blocks:
+        pipe.write(len(data).to_bytes(8, "little"))
+        pipe.write(data)
 
 
-def _relay(children: dict):
+def _relay(children, readers):
     """The children's rows in share order, one block in memory at a time.
 
-    Each child is reaped once its pipe is drained and dropped from
-    ``children``; a non-zero exit status raises, since its share may be cut
-    short.
+    Each child is reaped once its pipe is drained; a non-zero exit status
+    raises, since its share may be cut short.
     """
-    for pid, (reader, (start, stop)) in list(children.items()):
-        with reader:
-            while size := reader.read(8):
-                yield from reader.read(int.from_bytes(size, "little")).decode().split("\n")
-        status = os.waitpid(pid, 0)[1]
-        del children[pid]
+    for reader, start, stop in readers:
+        while size := reader.read(8):
+            yield from reader.read(int.from_bytes(size, "little")).decode().split("\n")
+        status = children.join(reader)
         if status:
             raise ChildProcessError(
                 f"formatting CSV rows {start}..{stop - 1} failed in a child "
-                f"process (exit status {os.waitstatus_to_exitcode(status)})"
+                f"process (exit status {status})"
             )
 
 

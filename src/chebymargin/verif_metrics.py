@@ -11,9 +11,15 @@ sign.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
+
+from . import _forking
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +117,13 @@ _TRIAL_FORMAT = "'label enroll test' with label 0/1"
 # Lines read and tokenized at a time; only one chunk's tokens are alive.
 # Chunks of 4096 to 32768 lines tokenize about equally fast; 131072 is slower.
 _CHUNK_LINES = 16384
+# A trial file of at least about one chunk of VoxCeleb-shaped lines is read
+# in a forked child while this process reads the score file; a smaller one
+# is read faster than the fork costs.
+_FORK_MIN_BYTES = 1 << 20
+# The 64-bit hash of an "enroll test" key.  A forked child shares this
+# process's string-hash secret, so both give a key the same hash.
+_key_hash = hash
 
 
 def _row_chunks(path: str, expected: str):
@@ -167,55 +180,259 @@ def _raise_first(path: str, *errors) -> None:
         raise ValueError(f"{path}:{line}: {message}")
 
 
-def _pair_keys(enrolls, tests):
-    """One string key per (enroll, test) pair.
+def _parse_scores(raw, quote):
+    """Each score token as a float, and ``None`` or the ``(index, message)``
+    of the first token that is not a finite number."""
+    bad = None
+    try:
+        values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+    except ValueError:
+        values = []
+        for text in raw:
+            try:
+                values.append(float(text))
+            except ValueError:
+                bad = len(values), f"bad score {text!r}"
+                break
+        values = np.array(values)
+    # A non-finite score before the first bad one is the earlier error.
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        bad = i, f"score must be finite, got {raw[i]!r}"
+    return values, bad
 
-    Ids hold no whitespace, so ``enroll + " " + test`` is unambiguous; a
-    string key lets the id strings of the score file be freed, which a
-    tuple key would keep alive.
+
+def _parse_labels(raw, quote):
+    """Each label token as a bool, and ``None`` or the ``(index, message)``
+    of the first token that is not 0 or 1, which quotes the row's line."""
+    bad = None
+    if not set(raw) <= {"0", "1"}:
+        i = next(i for i, label in enumerate(raw) if label not in ("0", "1"))
+        bad = i, f"expected {_TRIAL_FORMAT}, got {quote(i)!r}"
+    return np.fromiter(map("1".__eq__, raw), dtype=bool, count=len(raw)), bad
+
+
+# Per file: the format its errors name, the token of a row's enroll id and
+# of its value, and the parser of the value tokens, which is also given a
+# function quoting a row's line.
+_SCORES = (_SCORE_FORMAT, 0, 2, _parse_scores)
+_TRIALS = (_TRIAL_FORMAT, 1, 0, _parse_labels)
+
+
+class _KeyColumns(NamedTuple):
+    """A score or trial file as columns, one row per line that is not blank,
+    up to the file's first format error.
+
+    A row's ``"enroll test"`` key is held twice: as its 64-bit ``_key_hash``
+    and as its UTF-8 bytes ``keys[lengths[row]][slots[row]]``.  Each key
+    length has its own fixed-width ``S`` column, so no key is padded to a
+    longer one and none loses a trailing NUL byte.
     """
-    return map(" ".join, zip(enrolls, tests))
+
+    hashes: np.ndarray  # int64
+    lengths: np.ndarray  # int32
+    slots: np.ndarray  # int32
+    keys: dict  # key length -> S{length} array
+    lines: np.ndarray  # int32 line numbers, the dtype of the first-use table
+    values: np.ndarray  # the score (float64) or label (bool) of each row
+    error: tuple | None  # (line, message) of the format error ending the rows
 
 
-def _parse_scores(scores_file: str):
-    """Score column and the ``"enroll test" -> row`` index of a score file."""
-    index = {}
-    parts = [np.empty(0)]
-    n = 0
-    for start, _, tokens, rows, error in _row_chunks(scores_file, _SCORE_FORMAT):
-        enrolls, tests, raw = tokens[0::3], tokens[1::3], tokens[2::3]
-        linenos = start + rows
-        value_error = repeat = None
-        try:
-            values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
-        except ValueError:
-            values = []
-            for text in raw:
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    value_error = linenos[len(values)], f"bad score {text!r}"
-                    break
-            values = np.array(values)
-        # A non-finite score before the first bad one is the earlier error.
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = int(bad[0])
-            value_error = linenos[i], f"score must be finite, got {raw[i]!r}"
-        # The index keeps a pair's first row, so a later row maps elsewhere.
-        first = np.fromiter(
-            map(index.setdefault, _pair_keys(enrolls, tests), itertools.count(n)),
-            dtype=np.intp,
-            count=len(raw),
+def _key_columns(path: str, layout) -> _KeyColumns:
+    """Read ``path`` once, ``_CHUNK_LINES`` lines at a time, into key columns.
+
+    ``layout`` is ``_SCORES`` or ``_TRIALS``.  The read stops at the first
+    line with a format error: a field count, a label or a score value.
+    """
+    expected, key_at, value_at, parse = layout
+    parts = [(np.empty(0, np.int64), *[np.empty(0, np.int32)] * 3, parse([], None)[0])]
+    keys: dict = {}  # key length -> bytearray of the keys of that length
+    error = None
+    for start, lines, tokens, rows, error in _row_chunks(path, expected):
+        values, bad = parse(tokens[value_at::3], lambda i: lines[rows[i]].strip())
+        if bad is not None:
+            i, message = bad
+            error = start + int(rows[i]), message
+            rows = rows[:i]
+        n = rows.size
+        enrolls, tests = tokens[key_at : 3 * n : 3], tokens[key_at + 1 : 3 * n : 3]
+        pair_keys = list(map(" ".join, zip(enrolls, tests)))
+        encoded = list(map(str.encode, pair_keys))
+        lengths = np.fromiter(map(len, encoded), dtype=np.int32, count=n)
+        slots = np.empty(n, dtype=np.int32)
+        for length in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == length)
+            column = keys.setdefault(length, bytearray())
+            slots[at] = np.arange(at.size) + len(column) // length
+            column += b"".join(encoded if at.size == n else [encoded[i] for i in at.tolist()])
+        hashes = np.fromiter(map(_key_hash, pair_keys), dtype=np.int64, count=n)
+        parts.append((hashes, lengths, slots, (start + rows).astype(np.int32), values[:n]))
+        if error is not None:
+            break
+    # One column at a time, its parts freed as it is joined, so at most one
+    # column is held twice.
+    columns = list(zip(*parts))
+    del parts
+    hashes, lengths, slots, linenos, values = (np.concatenate(columns.pop(0)) for _ in range(5))
+    keys = {length: np.frombuffer(column, dtype=f"S{length}") for length, column in keys.items()}
+    return _KeyColumns(hashes, lengths, slots, keys, linenos, values, error)
+
+
+def _key(columns: _KeyColumns, row) -> bytes:
+    """The key bytes of ``row``; an ``S`` scalar would drop trailing NULs."""
+    slot = int(columns.slots[row])
+    return columns.keys[int(columns.lengths[row])][slot : slot + 1].tobytes()
+
+
+def _pair(columns: _KeyColumns, row) -> str:
+    """``(enroll, test)`` of ``row``, for a message; no id holds a space."""
+    enroll, _, test = _key(columns, row).decode().partition(" ")
+    return f"({enroll}, {test})"
+
+
+def _same_keys(a: _KeyColumns, rows_a, b: _KeyColumns, rows_b) -> bool:
+    """Whether row ``rows_a[i]`` of ``a`` (row ``i`` if ``rows_a`` is None)
+    holds the key of row ``rows_b[i]`` of ``b``, for every ``i`` with
+    ``rows_b[i] >= 0``; compared a chunk of keys at a time."""
+    for i in range(0, rows_b.size, _CHUNK_LINES):
+        rb = rows_b[i : i + _CHUNK_LINES]
+        ra = np.arange(i, i + rb.size) if rows_a is None else rows_a[i : i + _CHUNK_LINES]
+        ra, rb = ra[rb >= 0], rb[rb >= 0]
+        lengths = a.lengths[ra]
+        if np.any(lengths != b.lengths[rb]):
+            return False
+        for length, column in a.keys.items():
+            if (at := np.flatnonzero(lengths == length)).size:
+                # Byte views: comparing them is several times faster than ``S``.
+                keys_a = column[a.slots[ra[at]]].view(np.uint8)
+                keys_b = b.keys[length][b.slots[rb[at]]].view(np.uint8)
+                if not np.array_equal(keys_a, keys_b):
+                    return False
+    return True
+
+
+def _exact(*columns: _KeyColumns) -> list:
+    """Each of ``columns`` hashed by the number of its key among the
+    distinct keys of all of them: the fallback for two keys of one hash."""
+    ids: dict = {}
+    exact = []
+    for cols in columns:
+        keys = (_key(cols, row) for row in range(cols.hashes.size))
+        numbers = (ids.setdefault(key, len(ids)) for key in keys)
+        exact.append(cols._replace(hashes=np.fromiter(numbers, np.int64, cols.hashes.size)))
+    return exact
+
+
+def _sorted_scores(scores: _KeyColumns, path: str):
+    """``scores`` with its rows sorted by hash, and whether no two distinct
+    keys share a hash.
+
+    If none do, raises for the score file's first bad line: a format error,
+    or a pair scored on an earlier line.
+    """
+    order = np.argsort(scores.hashes)
+    hashes = scores.hashes[order]
+    if np.any(hashes[1:] == hashes[:-1]):
+        # A stable sort keeps a repeated key's rows in file order.
+        order = np.argsort(scores.hashes, kind="stable")
+    del hashes
+    # The key columns stay; each row keeps its length and slot in them.
+    names = ("hashes", "lengths", "slots", "lines", "values")
+    scores = scores._replace(**{name: getattr(scores, name)[order] for name in names})
+    del order
+    later = np.flatnonzero(scores.hashes[1:] == scores.hashes[:-1]) + 1
+    if not _same_keys(scores, later - 1, scores, later):
+        return scores, False
+    repeat = None
+    if later.size:
+        row = later[np.argmin(scores.lines[later])]
+        repeat = int(scores.lines[row]), f"duplicate score for {_pair(scores, row)}"
+    _raise_first(path, scores.error, repeat)
+    return scores, True
+
+
+def _score_rows(scores: _KeyColumns, trials: _KeyColumns):
+    """The row in hash-sorted ``scores`` of each trial, -1 where its pair
+    has no score, or ``None`` when a trial key shares its hash with another
+    score's key."""
+    # Sorted, the trial hashes are found about ten times faster.
+    order = np.argsort(trials.hashes)
+    found = np.searchsorted(scores.hashes, trials.hashes[order])
+    rows = np.empty_like(found)
+    rows[order] = found
+    del order, found
+    if scores.hashes.size:
+        rows[scores.hashes.take(rows, mode="clip") != trials.hashes] = -1
+    else:
+        rows[:] = -1
+    return rows if _same_keys(trials, None, scores, rows) else None
+
+
+def _check_trials(trials: _KeyColumns, rows, n_scores: int, path: str) -> None:
+    """Raise for the trial file's first bad line: a format error, a pair
+    with no score, or a pair used on an earlier line."""
+    missing = repeat = None
+    absent = np.flatnonzero(rows < 0)
+    if absent.size:
+        i = absent[0]
+        missing = int(trials.lines[i]), f"no score for trial pair {_pair(trials, i)}"
+    # The first trial line that used each score row, int32 max while none
+    # has; the rows with no score (-1) share the extra last entry.
+    first_line = np.full(n_scores + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    np.minimum.at(first_line, rows, trials.lines)
+    repeats = np.flatnonzero((first_line[rows] != trials.lines) & (rows >= 0))
+    if repeats.size:
+        i = repeats[0]
+        first = first_line[rows[i]]
+        repeat = (
+            int(trials.lines[i]),
+            f"duplicate trial pair {_pair(trials, i)}, first on line {first}",
         )
-        repeats = np.flatnonzero(first != np.arange(n, n + len(raw)))
-        if repeats.size:
-            i = int(repeats[0])
-            repeat = linenos[i], f"duplicate score for ({enrolls[i]}, {tests[i]})"
-        _raise_first(scores_file, value_error, repeat, error)
-        n += len(raw)
-        parts.append(values)
-    return np.concatenate(parts), index
+    _raise_first(path, trials.error, missing, repeat)
+
+
+def _send_columns(trial_file: str, pipe) -> None:
+    """Send the trial file's key columns, or the exception that stopped
+    the read, over ``pipe``: length-prefixed frames of a protocol 5 pickle
+    and its out-of-band buffers, which are the arrays' own memory."""
+    try:
+        result = _key_columns(trial_file, _TRIALS)
+    except Exception as exc:
+        result = exc
+    buffers = []
+    header = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+    for frame in [header, *(buffer.raw() for buffer in buffers)]:
+        pipe.write(len(frame).to_bytes(8, "little"))
+        pipe.write(frame)
+
+
+def _receive_columns(children, reader, trial_file: str) -> _KeyColumns:
+    """The trial file's key columns as the child reading them sent them;
+    raises the exception that stopped its read."""
+    frames = []
+    while len(size := reader.read(8)) == 8:
+        frames.append(bytearray(int.from_bytes(size, "little")))
+        reader.readinto(frames[-1])
+    status = children.join(reader)
+    if status:
+        raise ChildProcessError(
+            f"reading {trial_file} failed in a child process (exit status {status})"
+        )
+    result = pickle.loads(frames[0], buffers=frames[1:])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _forks(trial_file: str) -> bool:
+    """Whether the trial file is read in a child: with a second CPU in the
+    affinity mask and at least ``_FORK_MIN_BYTES`` to read.  A file whose
+    size cannot be read is read here, after the score file is checked."""
+    try:
+        return _forking.usable_cpus() > 1 and os.path.getsize(trial_file) >= _FORK_MIN_BYTES
+    except OSError:
+        return False
 
 
 def parse_trials(trial_file: str, scores_file: str) -> Trials:
@@ -227,44 +444,32 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     with its file and line number, the score file checked before the trial
     file; on a line with several problems a format error (field count,
     label, score value) wins over a join error (duplicate, missing pair).
-    The output preserves trial-file order.  Each file is read once, in
-    chunks of ``_CHUNK_LINES`` lines, so beyond the output columns only the
-    pair index of the score file, the first trial line of each score and
-    one chunk are held at a time.
+    The output preserves trial-file order.
+
+    Each file is read once, in chunks of ``_CHUNK_LINES`` lines, into key
+    columns: per row a 64-bit key hash, the key's bytes, the line number
+    and the score or label.  Both files' columns are held for the join,
+    which sorts the score hashes, looks up the trial hashes and confirms
+    every match on the key bytes; if two distinct keys share a hash, the
+    join is redone on exact key numbers.  When the affinity mask has two
+    or more CPUs and the trial file has at least ``_FORK_MIN_BYTES``, a
+    forked child reads it while this process reads the score file; the
+    child is reaped before this returns or raises.  There is no option.
     """
-    scores, index = _parse_scores(scores_file)
-    # The first trial line that used each score row, int32 max while none has.
-    first_line = np.full(scores.size, np.iinfo(np.int32).max, dtype=np.int32)
-    row_parts = [np.empty(0, dtype=np.intp)]
-    target_parts = [np.empty(0, dtype=bool)]
-    for start, lines, tokens, rows, error in _row_chunks(trial_file, _TRIAL_FORMAT):
-        labels, enrolls, tests = tokens[0::3], tokens[1::3], tokens[2::3]
-        # The table's dtype, as np.minimum.at is 40x slower on mixed ones.
-        linenos = (start + rows).astype(np.int32)
-        label_error = missing = repeat = None
-        if not set(labels) <= {"0", "1"}:
-            i = next(i for i, label in enumerate(labels) if label not in ("0", "1"))
-            label_error = linenos[i], f"expected {_TRIAL_FORMAT}, got {lines[rows[i]].strip()!r}"
-        score_rows = np.fromiter(
-            map(index.get, _pair_keys(enrolls, tests), itertools.repeat(-1)),
-            dtype=np.intp,
-            count=len(labels),
-        )
-        absent = np.flatnonzero(score_rows < 0)
-        if absent.size:
-            i = int(absent[0])
-            missing = linenos[i], f"no score for trial pair ({enrolls[i]}, {tests[i]})"
-        # Up to the first missing pair, a row repeats a pair exactly when
-        # the pair's first use is not its own line.
-        found = score_rows[: absent[0] if absent.size else None]
-        np.minimum.at(first_line, found, linenos[: found.size])
-        repeats = np.flatnonzero(first_line[found] != linenos[: found.size])
-        if repeats.size:
-            i = int(repeats[0])
-            pair = f"({enrolls[i]}, {tests[i]})"
-            first = first_line[found[i]]
-            repeat = linenos[i], f"duplicate trial pair {pair}, first on line {first}"
-        _raise_first(trial_file, label_error, missing, repeat, error)
-        row_parts.append(score_rows)
-        target_parts.append(np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels)))
-    return Trials(scores[np.concatenate(row_parts)], np.concatenate(target_parts))
+    with _forking.Children() as children:
+        if _forks(trial_file):
+            reader = children.start(partial(_send_columns, trial_file))
+            read_trials = partial(_receive_columns, children, reader, trial_file)
+        else:
+            read_trials = partial(_key_columns, trial_file, _TRIALS)
+        scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)
+        if not unique:
+            scores, _ = _sorted_scores(*_exact(scores), scores_file)
+        trials = read_trials()
+    rows = _score_rows(scores, trials) if unique else None
+    if rows is None:
+        scores, trials = _exact(scores, trials)
+        scores, _ = _sorted_scores(scores, scores_file)
+        rows = _score_rows(scores, trials)
+    _check_trials(trials, rows, scores.hashes.size, trial_file)
+    return Trials(scores.values[rows], trials.values)

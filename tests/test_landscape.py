@@ -11,6 +11,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from conftest import assert_no_child, fake_cpus
+
 from chebymargin import cheby_core, landscape
 from chebymargin.cheby_core import approx_error_bound, coefficients, lipschitz_constant
 from chebymargin.landscape import (
@@ -85,34 +87,6 @@ def surface_specs(margin):
         LossSpec(LossKind.AAM_SOFTMAX, margin=margin, scale=32.0),
         LossSpec(LossKind.CHEBY_AAM, margin=margin, scale=4.0, degree=2),
     ]
-
-
-def fake_cpus(monkeypatch, cpus, children=None):
-    """Give the process ``cpus`` CPUs, or no ``os.sched_getaffinity`` when
-    None, and return the list of forks made.  With ``children`` 0 a fork
-    raises, so an export that passes started no process."""
-    if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        affinity = lambda pid: set(range(cpus))  # noqa: E731
-        monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        if children == 0:
-            raise AssertionError("an export of a single share forked")
-        forks.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_child():
-    """The calling process has no child process, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExportBytes:

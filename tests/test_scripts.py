@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from chebymargin.landscape import derivative_gap
 from chebymargin.losses import LossKind, LossSpec
 
@@ -61,3 +63,21 @@ def test_stability_comparison(tmp_path):
     for tag in tags:
         for ext in ("csv", "summary"):
             assert (tmp_path / f"telemetry_{tag}.{ext}").stat().st_size > 0, f"{tag}.{ext}"
+
+
+@pytest.mark.parametrize(
+    "name, flag, message",
+    [
+        ("export_figure_data.py", "--degrees", "--degrees needs at least one degree, got ','"),
+        ("stability_comparison.py", "--margins", "--margins needs at least one margin, got ','"),
+    ],
+)
+def test_all_empty_list_is_refused_before_any_write(tmp_path, name, flag, message):
+    outdir = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), flag, ",", "--outdir", str(outdir)],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"{name}: error: {message}\n"
+    assert not outdir.exists()

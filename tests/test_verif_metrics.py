@@ -4,14 +4,20 @@ import contextlib
 import math
 import os
 import re
+import signal
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child, fake_cpus
+
 from chebymargin import verif_metrics
+from chebymargin.cli import main
 from chebymargin.verif_metrics import (
     DcfParams,
     Trials,
@@ -76,6 +82,37 @@ def reference_join(trial_file, scores_file):
         scores.append(score_map[(enroll, test)])
         is_target.append(label == "1")
     return scores, is_target
+
+
+def assert_matches_reference(trial_file, scores_file):
+    """``parse_trials`` gives the oracle's columns, or raises its error."""
+    try:
+        expected = reference_join(trial_file, scores_file)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}"):
+            parse_trials(trial_file, scores_file)
+    else:
+        trials = parse_trials(trial_file, scores_file)
+        assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
+
+
+@contextlib.contextmanager
+def parsing(chunk_lines, forked=False):
+    """Context in which ``parse_trials`` reads ``chunk_lines`` lines at a
+    time and, if ``forked``, reads the trial file in a child: two CPUs and
+    no small-file rule.  Otherwise one CPU, and a fork fails the test.  On
+    leaving it, exactly ``forked`` forks were made and no child is left.
+
+    Hypothesis tests may not take the function-scoped ``monkeypatch``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
+        forks = fake_cpus(patch, 2 if forked else 1, None if forked else 0)
+        if forked:
+            patch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
+        yield
+    assert len(forks) == forked
+    assert_no_child()
 
 
 def brute_force_sweep(targets, nontargets):
@@ -432,31 +469,41 @@ class TestParseTrialsChunks:
             parse_trials(str(t), str(s))
 
     @pytest.mark.parametrize(
-        "trials, scores, opened",
+        "trials, scores, valid",
         [
-            pytest.param("1 a x\n0 b y\n1 c z\n", SCORES_ABCD, "st", id="valid"),
+            pytest.param("1 a x\n0 b y\n1 c z\n", SCORES_ABCD, True, id="valid"),
             pytest.param(
-                "1 a x\n", "a x 0.1\nb y 0.2\nc z 0.3\na x 0.4\n", "s", id="duplicate-score"
+                "1 a x\n", "a x 0.1\nb y 0.2\nc z 0.3\na x 0.4\n", False, id="duplicate-score"
             ),
-            pytest.param("1 a x\n0 b y\n1 c z\n1 a x\n", SCORES_ABCD, "st", id="duplicate-trial"),
+            pytest.param("1 a x\n0 b y\n1 c z\n1 a x\n", SCORES_ABCD, False, id="duplicate-trial"),
         ],
     )
-    def test_each_file_opened_once(self, tmp_path, monkeypatch, trials, scores, opened):
-        """The score file, then the trial file unless the score file is bad."""
-        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", 2)
+    def test_each_file_opened_once(self, tmp_path, monkeypatch, trials, scores, valid):
+        """Read here or in a child, each file is opened once on valid input
+        and at most once on bad input.  The opens of both processes go to
+        one append-only log."""
         paths = {"t": tmp_path / "t.txt", "s": tmp_path / "s.txt"}
         paths["t"].write_text(trials, encoding="utf-8")
         paths["s"].write_text(scores, encoding="utf-8")
-        calls = []
+        log = tmp_path / "opened.log"
 
-        def counting_open(path, *args, **kwargs):
-            calls.append(path)
+        def logging_open(path, *args, **kwargs):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{path}\n".encode())
+            finally:
+                os.close(fd)
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(verif_metrics, "open", counting_open, raising=False)
-        with contextlib.suppress(ValueError):
-            parse_trials(str(paths["t"]), str(paths["s"]))
-        assert calls == [str(paths[name]) for name in opened]
+        monkeypatch.setattr(verif_metrics, "open", logging_open, raising=False)
+        for forked in (False, True):
+            log.write_bytes(b"")
+            with parsing(2, forked), contextlib.suppress(ValueError):
+                parse_trials(str(paths["t"]), str(paths["s"]))
+            opened = log.read_text(encoding="utf-8").splitlines()
+            counts = [opened.count(str(paths[name])) for name in "st"]
+            assert len(opened) == sum(counts)
+            assert counts == [1, 1] if valid else max(counts) <= 1, (forked, opened)
 
 
 IDS = st.text(alphabet="abXY09/._-", min_size=1, max_size=5)
@@ -511,85 +558,223 @@ def write_lines(data, directory, name, lines):
 
 
 # The default chunk and two-line chunks, whose boundaries fall between
-# rows, blank lines and bad lines alike.
-CHUNK_SIZES = pytest.mark.parametrize(
-    "chunk_lines", [verif_metrics._CHUNK_LINES, 2], ids=lambda n: f"chunk{n}"
+# rows, blank lines and bad lines alike; then two-line chunks with the
+# trial file read in a forked child.
+READS = pytest.mark.parametrize(
+    "chunk_lines, forked",
+    [
+        pytest.param(verif_metrics._CHUNK_LINES, False, id=f"chunk{verif_metrics._CHUNK_LINES}"),
+        pytest.param(2, False, id="chunk2"),
+        pytest.param(2, True, id="chunk2-forked"),
+    ],
 )
 
 
-@contextlib.contextmanager
-def chunked(chunk_lines):
-    """Context in which ``parse_trials`` reads ``chunk_lines`` lines at a time.
-
-    Hypothesis tests may not take the function-scoped ``monkeypatch``.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
-        yield
+def examples(forked):
+    """Hypothesis examples per read case: 200 in-process, 30 forked.  A
+    forked example forks the test process and costs about twice as much.
+    The 30 insert some 60 bad lines of the seven kinds, and the join they
+    check is the one the in-process cases check."""
+    return 30 if forked else 200
 
 
 class TestParseTrialsProperties:
-    @CHUNK_SIZES
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference_join(self, chunk_lines, data):
-        trial_lines, score_lines = trial_files(data)
-        with tempfile.TemporaryDirectory() as directory:
-            t = write_lines(data, directory, "t.txt", trial_lines)
-            s = write_lines(data, directory, "s.txt", score_lines)
-            with chunked(chunk_lines):
-                trials = parse_trials(t, s)
-            scores, is_target = reference_join(t, s)
-        assert trials.scores.tolist() == scores
-        assert trials.is_target.tolist() == is_target
+    @READS
+    def test_matches_reference_join(self, chunk_lines, forked):
+        @given(st.data())
+        @settings(max_examples=examples(forked), deadline=None)
+        def check(data):
+            trial_lines, score_lines = trial_files(data)
+            with tempfile.TemporaryDirectory() as directory:
+                t = write_lines(data, directory, "t.txt", trial_lines)
+                s = write_lines(data, directory, "s.txt", score_lines)
+                with parsing(chunk_lines, forked):
+                    trials = parse_trials(t, s)
+                scores, is_target = reference_join(t, s)
+            assert trials.scores.tolist() == scores
+            assert trials.is_target.tolist() == is_target
 
-    @CHUNK_SIZES
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_wrong_field_count_names_its_line(self, chunk_lines, data):
+        check()
+
+    @READS
+    def test_wrong_field_count_names_its_line(self, chunk_lines, forked):
         """One to three bad lines of any kind at random lines of either file:
         the first bad line, score file first, is named as the line-by-line
         oracle names it.  Lines of 2 and 4 fields may sit next to each other,
         so the token total can stay a multiple of 3."""
-        trial_lines, score_lines = trial_files(data)
-        for k in range(data.draw(st.integers(1, 3))):
-            kind = data.draw(st.sampled_from(BAD_LINE_KINDS))
-            in_trials = kind in ("label", "duplicate trial", "missing pair") or (
-                kind == "field count" and data.draw(st.booleans())
+
+        @given(st.data())
+        @settings(max_examples=examples(forked), deadline=None)
+        def check(data):
+            trial_lines, score_lines = trial_files(data)
+            for k in range(data.draw(st.integers(1, 3))):
+                kind = data.draw(st.sampled_from(BAD_LINE_KINDS))
+                in_trials = kind in ("label", "duplicate trial", "missing pair") or (
+                    kind == "field count" and data.draw(st.booleans())
+                )
+                lines = trial_lines if in_trials else score_lines
+                rows = [line for line in lines if line.strip()]
+                # "q" is not in IDS, so no score has the fresh pair.  A bad
+                # value on a used pair also repeats it, on the same line.
+                pair = f"q{k} q{k}"
+                if rows and data.draw(st.booleans()):
+                    fields = data.draw(st.sampled_from(rows)).split()
+                    pair = " ".join(fields[1:3] if in_trials else fields[:2])
+                if kind == "field count":
+                    wrong = st.lists(IDS, min_size=2, max_size=4).filter(lambda f: len(f) != 3)
+                    line = " ".join(data.draw(wrong))
+                elif kind == "label":
+                    line = f"{data.draw(IDS.filter(lambda s: s not in ('0', '1')))} {pair}"
+                elif kind in ("bad score", "non-finite score"):
+                    values = BAD_SCORES if kind == "bad score" else NON_FINITE_SCORES
+                    line = f"{pair} {data.draw(st.sampled_from(values))}"
+                elif kind == "missing pair":
+                    line = f"{data.draw(st.sampled_from('01'))} q{k} q{k}"
+                elif rows:
+                    line = data.draw(st.sampled_from(rows))
+                else:
+                    continue
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+            with tempfile.TemporaryDirectory() as directory:
+                t = write_lines(data, directory, "t.txt", trial_lines)
+                s = write_lines(data, directory, "s.txt", score_lines)
+                try:
+                    expected = reference_join(t, s)
+                except ValueError as exc:
+                    message = f"^{re.escape(str(exc))}"
+                    with parsing(chunk_lines, forked), pytest.raises(ValueError, match=message):
+                        parse_trials(t, s)
+                else:
+                    with parsing(chunk_lines, forked):
+                        trials = parse_trials(t, s)
+                    assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
+
+        check()
+
+
+FORKED = pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+
+
+def write_pair(tmp_path, trials, scores):
+    t, s = tmp_path / "t.txt", tmp_path / "s.txt"
+    t.write_text(trials, encoding="utf-8")
+    s.write_text(scores, encoding="utf-8")
+    return str(t), str(s)
+
+
+class TestParseTrialsKeys:
+    """Every hash match is confirmed on the key bytes, and keys that share
+    a hash are joined exactly, here or in the child."""
+
+    @FORKED
+    @pytest.mark.parametrize(
+        "key_hash", [lambda key: 0, len], ids=["one-hash-for-all", "hash-is-length"]
+    )
+    @pytest.mark.parametrize(
+        "trials, scores",
+        [
+            pytest.param("1 a x\n0 bb yy\n1 c z\n", "bb yy 0.2\na x 0.1\nc z 0.3\n", id="valid"),
+            # Only the trial key (q, z) shares the hash of a score key.
+            pytest.param("1 a x\n0 q z\n", "a x 0.1\nbb yy 0.2\n", id="missing-pair"),
+            pytest.param("1 a x\n", "a x 0.1\nb y 0.2\na x 0.3\nc z x\n", id="duplicate-score"),
+            pytest.param("1 a x\n0 b y\n1 a x\n", SCORES_ABCD, id="duplicate-trial"),
+            pytest.param("1 a x\n1 q q\n2 b y\n", SCORES_ABCD, id="missing-before-bad-label"),
+        ],
+    )
+    def test_shared_hashes_join_as_the_oracle(
+        self, tmp_path, monkeypatch, trials, scores, key_hash, forked
+    ):
+        monkeypatch.setattr(verif_metrics, "_key_hash", key_hash)
+        t, s = write_pair(tmp_path, trials, scores)
+        with parsing(2, forked):
+            assert_matches_reference(t, s)
+
+    @FORKED
+    @pytest.mark.parametrize("key_hash", [hash, lambda key: 0], ids=["hashed", "one-hash-for-all"])
+    @pytest.mark.parametrize(
+        "extra_trial",
+        [
+            pytest.param("", id="valid"),
+            # No score key has this key's length.
+            pytest.param("1 a b\x00\x00\x00\x00\x00\n", id="missing-nul-pair"),
+        ],
+    )
+    def test_unusual_ids_join_as_the_oracle(
+        self, tmp_path, monkeypatch, key_hash, extra_trial, forked
+    ):
+        """Ids ending in NUL bytes, non-ASCII ids whose byte length is not
+        their length in characters, and one 10,000-character id among short
+        ones.  ``a b``, ``a b\\0`` and ``a\\0 b`` are three keys."""
+        monkeypatch.setattr(verif_metrics, "_key_hash", key_hash)
+        long_id = "L" * 10_000
+        pairs = [
+            ("a", "b"), ("a", "b\x00"), ("a\x00", "b"), ("é", "ü"), ("ü", "é"),
+            ("a", long_id), (long_id, "b"), ("x", "y"),
+        ]
+        scores = "".join(f"{e} {t} {k / 8}\n" for k, (e, t) in enumerate(reversed(pairs)))
+        trials = "".join(f"{k % 2} {e} {t}\n" for k, (e, t) in enumerate(pairs)) + extra_trial
+        t, s = write_pair(tmp_path, trials, scores)
+        with parsing(2, forked):
+            assert_matches_reference(t, s)
+
+    @pytest.mark.parametrize(
+        "failure, scores, raised, message",
+        [
+            pytest.param("raises", SCORES_ABCD, RuntimeError, "trial read failed", id="child-raises"),
+            pytest.param(
+                "killed", SCORES_ABCD, ChildProcessError,
+                r"reading .*t\.txt failed in a child process \(exit status -9\)",
+                id="child-killed",
+            ),
+            # The child is still reading when the score file's error raises.
+            pytest.param(
+                "hangs", "a x 0.1\na x 0.2\n", ValueError, r".*s\.txt:2: duplicate score",
+                id="bad-score-file",
+            ),
+        ],
+    )
+    def test_failure_raises_and_leaves_no_child(
+        self, tmp_path, monkeypatch, failure, scores, raised, message
+    ):
+        read = verif_metrics._key_columns
+
+        def failing_read(path, layout):
+            if layout is verif_metrics._TRIALS:
+                if failure == "raises":
+                    raise RuntimeError("trial read failed")
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60)
+            return read(path, layout)
+
+        monkeypatch.setattr(verif_metrics, "_key_columns", failing_read)
+        t, s = write_pair(tmp_path, "1 a x\n0 b y\n", scores)
+        start = time.monotonic()
+        with parsing(2, forked=True), pytest.raises(raised, match=f"^{message}"):
+            parse_trials(t, s)
+        assert time.monotonic() - start < 30
+
+    def test_score_on_two_cpus_emits_no_fork_warning(self, tmp_path, monkeypatch, capsys):
+        """Python 3.12+ warns at a fork in a multi-threaded process, which
+        OpenBLAS makes of any numpy process; ``score`` does not pass it on."""
+        forks = fake_cpus(monkeypatch, 2)
+        monkeypatch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
+        counting_fork = os.fork
+
+        def warning_fork():
+            message = (
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child."
             )
-            lines = trial_lines if in_trials else score_lines
-            rows = [line for line in lines if line.strip()]
-            # "q" is not in IDS, so no score has the fresh pair.  A bad
-            # value on a used pair also repeats it, on the same line.
-            pair = f"q{k} q{k}"
-            if rows and data.draw(st.booleans()):
-                fields = data.draw(st.sampled_from(rows)).split()
-                pair = " ".join(fields[1:3] if in_trials else fields[:2])
-            if kind == "field count":
-                wrong = st.lists(IDS, min_size=2, max_size=4).filter(lambda f: len(f) != 3)
-                line = " ".join(data.draw(wrong))
-            elif kind == "label":
-                line = f"{data.draw(IDS.filter(lambda s: s not in ('0', '1')))} {pair}"
-            elif kind in ("bad score", "non-finite score"):
-                values = BAD_SCORES if kind == "bad score" else NON_FINITE_SCORES
-                line = f"{pair} {data.draw(st.sampled_from(values))}"
-            elif kind == "missing pair":
-                line = f"{data.draw(st.sampled_from('01'))} q{k} q{k}"
-            elif rows:
-                line = data.draw(st.sampled_from(rows))
-            else:
-                continue
-            lines.insert(data.draw(st.integers(0, len(lines))), line)
-        with tempfile.TemporaryDirectory() as directory:
-            t = write_lines(data, directory, "t.txt", trial_lines)
-            s = write_lines(data, directory, "s.txt", score_lines)
-            try:
-                expected = reference_join(t, s)
-            except ValueError as exc:
-                message = f"^{re.escape(str(exc))}"
-                with chunked(chunk_lines), pytest.raises(ValueError, match=message):
-                    parse_trials(t, s)
-            else:
-                with chunked(chunk_lines):
-                    trials = parse_trials(t, s)
-                assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        t, s = write_pair(tmp_path, "0 a x\n1 b y\n", SCORES_ABCD)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["score", "--trials", t, "--scores", s])
+        assert (code, capsys.readouterr().out) == (0, "EER% 0.0000\nminDCF 0.0000\n")
+        assert [str(w.message) for w in caught] == []
+        assert len(forks) == 1
+        assert_no_child()
