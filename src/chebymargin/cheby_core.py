@@ -104,8 +104,8 @@ def coefficients(margin: float, degree: int) -> ChebyshevSeries:
     return ChebyshevSeries(a)
 
 
-def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of ``sum_k a_k T_k(x)``, odd ``a_k`` above 1 being 0.
+def _clenshaw_plan(a: np.ndarray, n: int):
+    """The evaluator of ``sum_k a_k T_k`` at ``n`` points, odd ``a_k`` above 1 being 0.
 
     With ``c_j = a_{2j}`` and ``y = 2x^2 - 1``, ``T_{2j}(x) = T_j(y)`` gives
     ``f = a_1 x + g(y)`` with ``g = sum_j c_j T_j``, and ``f' = a_1 + 4x g'(y)``
@@ -114,36 +114,49 @@ def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``[c_j, j c_j]`` sums the T-series of ``g`` (row 0) and the U-series of
     ``g'`` (row 1) together, in half as many steps as ``a`` has entries.
 
-    Up to ``_CLENSHAW_COPY_MAX`` points the columns ``col_1 .. col_K`` are
-    copied out to the points' shape, so no operation in the recurrence
-    broadcasts; past it each is a broadcast ``(2, 1)`` column.  Either way
-    every point gets the same arithmetic, so the result is the same.
+    The columns are built here, once; the returned ``evaluate(x)`` takes
+    any array of ``n`` points and gives its value and derivative in ``x``'s
+    shape.  Up to ``_CLENSHAW_COPY_MAX`` points the columns
+    ``col_1 .. col_K`` are copied out to ``n``, so no operation in the
+    recurrence broadcasts; past it each is a broadcast ``(2, 1)`` column.
+    Either way every point gets the same arithmetic, so the result is the
+    same.
     """
     a1 = a[1] if len(a) > 1 else 0.0
     c = a[0::2]
     k = len(c) - 1
-    flat = x.reshape(-1)
-    n = flat.size
     # col_j for j = 1..K; a lone zero column when K = 0, so that b_1 = b_2 = 0.
     cols = np.zeros((max(k, 1), 2, n if n <= _CLENSHAW_COPY_MAX else 1))
     cols[:k, 0] = c[1:, None]
     cols[:k, 1] = (np.arange(1.0, k + 1) * c[1:])[:, None]
-    four_x = 4.0 * flat
-    two_y = np.empty((2, n))
-    two_y[...] = four_x * flat - 2.0
-    # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
-    b1 = np.empty((2, n))
-    b1[...] = cols[-1]
-    b2 = np.zeros((2, n))
-    work = np.empty((2, n))
-    for col in cols[-2::-1]:
-        np.multiply(two_y, b1, work)
-        np.subtract(work, b2, work)
-        np.add(work, col, work)
-        b2, b1, work = b1, work, b2
-    value = a1 * flat + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
-    deriv = a1 + four_x * b1[1]
-    return value.reshape(x.shape), deriv.reshape(x.shape)
+    # The recurrence's columns in the order it reads them, as views made once.
+    last, rest = cols[-1], list(cols[-2::-1])
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flat = x.reshape(-1)
+        four_x = 4.0 * flat
+        two_y = np.empty((2, n))
+        two_y[...] = four_x * flat - 2.0
+        # From b_{K+1} = b_{K+2} = 0 the first step gives b_K = col_K exactly.
+        b1 = np.empty((2, n))
+        b1[...] = last
+        b2 = np.zeros((2, n))
+        work = np.empty((2, n))
+        for col in rest:
+            np.multiply(two_y, b1, work)
+            np.subtract(work, b2, work)
+            np.add(work, col, work)
+            b2, b1, work = b1, work, b2
+        value = a1 * flat + (c[0] + 0.5 * two_y[0] * b1[0] - b2[0])
+        deriv = a1 + four_x * b1[1]
+        return value.reshape(x.shape), deriv.reshape(x.shape)
+
+    return evaluate
+
+
+def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative of ``sum_k a_k T_k(x)``; see :func:`_clenshaw_plan`."""
+    return _clenshaw_plan(a, x.size)(x)
 
 
 def series_value_and_derivative(series: ChebyshevSeries, x):
@@ -168,6 +181,17 @@ def clenshaw_eval(series: ChebyshevSeries, x):
     return series_value_and_derivative(series, x)[0]
 
 
+def _psi(x: np.ndarray, margin: float) -> np.ndarray:
+    """:func:`exact_psi` of a checked array."""
+    return x * math.cos(margin) - np.sqrt(1.0 - x * x) * math.sin(margin)
+
+
+def _psi_grad(x: np.ndarray, margin: float) -> np.ndarray:
+    """:func:`exact_psi_grad` of a checked array."""
+    clamped = _edge_clamp(x)
+    return math.cos(margin) + clamped * math.sin(margin) / np.sqrt(1.0 - clamped * clamped)
+
+
 def exact_psi(x, margin: float):
     """The exact margin transform ``cos(arccos(x) + margin)``.
 
@@ -176,8 +200,7 @@ def exact_psi(x, margin: float):
     near the domain edges.
     """
     arr, scalar = _validate_eval_point(x)
-    sine = np.sqrt(1.0 - arr * arr)
-    return _maybe_scalar(arr * math.cos(margin) - sine * math.sin(margin), scalar)
+    return _maybe_scalar(_psi(arr, margin), scalar)
 
 
 def exact_psi_grad(x, margin: float):
@@ -188,9 +211,7 @@ def exact_psi_grad(x, margin: float):
     a deterministic finite value rather than a division by zero.
     """
     arr, scalar = _validate_eval_point(x)
-    clamped = _edge_clamp(arr)
-    grad = math.cos(margin) + clamped * math.sin(margin) / np.sqrt(1.0 - clamped * clamped)
-    return _maybe_scalar(grad, scalar)
+    return _maybe_scalar(_psi_grad(arr, margin), scalar)
 
 
 def exact_psi_hessian(x, margin: float):

@@ -196,8 +196,7 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     params = verif_metrics.DcfParams(args.p_target)
     trials = verif_metrics.parse_trials(args.trials, args.scores)
-    eer = verif_metrics.compute_eer(trials)
-    min_dcf = verif_metrics.compute_min_dcf(trials, params)
+    eer, min_dcf = verif_metrics._eer_and_min_dcf(trials, params)
     print(f"EER% {eer * 100.0:.4f}")
     print(f"minDCF {min_dcf:.4f}")
     return 0

@@ -163,30 +163,73 @@ def _a_softmax_transform(x: np.ndarray, m: int):
     return value, grad
 
 
-def _target_transform(spec: LossSpec, x: np.ndarray):
-    """Transformed target logit and its derivative with respect to x.
-
-    ``x`` is a float array with ``|x| <= 1``, already checked by the caller.
-    """
+def _target_transform(spec: LossSpec, n: int):
+    """The target-logit transform of ``spec`` for ``n`` cosines: a callable
+    from a float array of them, ``|x| <= 1`` already checked by the caller,
+    to the transformed logits and their derivatives with respect to x."""
     if spec.kind is LossKind.N_SOFTMAX:
-        return x, np.ones_like(x)
+        return lambda x: (x, np.ones_like(x))
     if spec.kind is LossKind.AM_SOFTMAX:
-        return x - spec.margin, np.ones_like(x)
+        return lambda x: (x - spec.margin, np.ones_like(x))
     if spec.kind is LossKind.A_SOFTMAX:
-        return _a_softmax_transform(x, int(spec.margin))
+        return functools.partial(_a_softmax_transform, m=int(spec.margin))
     if spec.kind is LossKind.AAM_SOFTMAX:
-        return (
-            cheby_core.exact_psi(x, spec.margin),
-            cheby_core.exact_psi_grad(x, spec.margin),
-        )
-    return cheby_core._even_clenshaw(spec.series.coefficients, x)
+        margin = spec.margin
+        return lambda x: (cheby_core._psi(x, margin), cheby_core._psi_grad(x, margin))
+    return cheby_core._clenshaw_plan(spec.series.coefficients, n)
 
 
 def transform_target_logit(spec: LossSpec, x):
     """Apply the target-logit margin transform of ``spec`` to cosine ``x``."""
     arr, scalar = cheby_core._validate_eval_point(x)
-    value, _ = _target_transform(spec, arr)
+    value, _ = _target_transform(spec, arr.size)(arr)
     return cheby_core._maybe_scalar(value, scalar)
+
+
+def _forward(spec: LossSpec, rows: int, classes: int):
+    """The loss of ``spec`` on ``rows x classes`` cosines, prepared once:
+    a callable ``(cosines, labels) -> LossOutput`` that checks nothing.
+
+    ``cosines`` is a float ``rows x classes`` array with every entry in
+    ``[-1, 1]`` and ``labels`` an int array of one class index per row,
+    as a ``CosineBatch`` holds them.  Every returned array is fresh.
+    """
+    scale = spec.scale
+    transform = _target_transform(spec, rows)
+    # Row-major positions of each row's first entry.
+    offsets = np.arange(0, rows * classes, classes)
+
+    def forward(cosines: np.ndarray, labels: np.ndarray) -> LossOutput:
+        targets = offsets + labels
+        target_cosines = cosines.take(targets)
+        psi, dpsi = transform(target_cosines)
+
+        # One C-ordered B x C buffer holds the logits, then their
+        # exponentials, then the gradient; ``flat`` is a view of it, so
+        # writes through it land in ``work``.
+        target_logit = scale * psi
+        work = np.multiply(cosines, scale, order="C")
+        flat = work.reshape(-1)
+        flat[targets] = target_logit
+        logits_max = np.maximum.reduce(work, 1)
+        work -= logits_max[:, None]
+        np.exp(work, work)
+        denom = np.add.reduce(work, 1)
+        flat[targets] = 0.0
+        nontarget_mass = np.add.reduce(work, 1) / denom
+
+        per_sample = np.log(denom) - (target_logit - logits_max)
+        work *= scale / denom[:, None]
+        flat[targets] = -scale * dpsi * nontarget_mass
+        return LossOutput(
+            per_sample_loss=per_sample,
+            # np.mean's own sum and division, without its dispatch.
+            mean_loss=float(np.add.reduce(per_sample) / per_sample.size),
+            grad_cosines=work,
+            target_cosines=target_cosines,
+        )
+
+    return forward
 
 
 def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
@@ -199,36 +242,7 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     column is ``-s * psi'(x_y) * sum_{j != y} p_j`` with the non-target
     probability mass summed directly so it survives heavy saturation.
     """
-    cosines = batch.cosines
-    # Row-major positions of the target entries.
-    targets = np.arange(0, cosines.size, cosines.shape[1]) + batch.labels
-    target_cosines = cosines.take(targets)
-    psi, dpsi = _target_transform(spec, target_cosines)
-
-    # One C-ordered B x C buffer holds the logits, then their exponentials,
-    # then the gradient; ``flat`` is a view of it, so writes through it land
-    # in ``work``.
-    target_logit = spec.scale * psi
-    work = np.multiply(cosines, spec.scale, order="C")
-    flat = work.reshape(-1)
-    flat[targets] = target_logit
-    logits_max = np.maximum.reduce(work, 1)
-    work -= logits_max[:, None]
-    np.exp(work, work)
-    denom = np.add.reduce(work, 1)
-    flat[targets] = 0.0
-    nontarget_mass = np.add.reduce(work, 1) / denom
-
-    per_sample = np.log(denom) - (target_logit - logits_max)
-    work *= spec.scale / denom[:, None]
-    flat[targets] = -spec.scale * dpsi * nontarget_mass
-    return LossOutput(
-        per_sample_loss=per_sample,
-        # np.mean's own sum and division, without its dispatch.
-        mean_loss=float(np.add.reduce(per_sample) / per_sample.size),
-        grad_cosines=work,
-        target_cosines=target_cosines,
-    )
+    return _forward(spec, *batch.cosines.shape)(batch.cosines, batch.labels)
 
 
 def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> GradCheckReport:

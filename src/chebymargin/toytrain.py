@@ -16,7 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .fileio import write_lines_atomic
-from .losses import CosineBatch, LossSpec, loss_forward
+# ``loss_forward`` and ``CosineBatch`` are the public form of the step that
+# ``train`` prepares once; bench/tracing.py wraps them in this module.
+from .losses import CosineBatch, LossSpec, _forward, loss_forward  # noqa: F401
 
 # Scale used by the paired stability comparison.  At the classification
 # default (32) the softmax saturates long before target cosines get close
@@ -152,25 +154,44 @@ def train(config: TrainConfig) -> TrainTelemetry:
     Prototype rows are renormalized after every update so logits remain
     cosines.  A non-finite loss, gradient or weight halts the run and sets
     ``nan_step`` instead of raising, so paired comparisons always get telemetry.
+    A spread so large that the cluster points overflow is a ``ValueError``,
+    raised before the first step.
     """
     data = make_sphere_clusters(config)
+    if not np.isfinite(data.points).all():
+        raise ValueError(f"spread {config.spread!r} overflows the cluster points")
     rng = np.random.default_rng([config.seed, 1])
     weights = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
 
     n = data.labels.size
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
+    starts = range(0, n, config.batch_size)
+    # The run's inputs are checked here, once: the points are finite, the
+    # labels are the dataset's, and each step's clip bounds its cosines, so
+    # the steps build no CosineBatch.  One prepared loss step per batch
+    # size, as an epoch's last batch may be shorter.
+    forwards = {
+        rows: _forward(config.loss, rows, config.num_classes)
+        for rows in {min(config.batch_size, n - start) for start in starts}
+    }
 
     telemetry = TrainTelemetry()
-    batches = (
-        order[start : start + config.batch_size]
+    # Each epoch's points and labels are gathered once, in its order, and
+    # each step takes a slice of them.
+    epochs = (
+        (data.points.take(order, axis=0), data.labels.take(order))
         for order in (rng.permutation(n) for _ in range(config.epochs))
-        for start in range(0, n, config.batch_size)
     )
-    for step, idx in enumerate(batches):
-        points, labels = data.points.take(idx, axis=0), data.labels[idx]
-        cosines = (points @ weights.T).clip(-1.0, 1.0)
-        out = loss_forward(config.loss, CosineBatch(cosines, labels))
+    batches = (
+        (points[start : start + config.batch_size], labels[start : start + config.batch_size])
+        for points, labels in epochs
+        for start in starts
+    )
+    for step, (points, labels) in enumerate(batches):
+        cosines = points @ weights.T
+        np.clip(cosines, -1.0, 1.0, cosines)
+        out = forwards[labels.size](cosines, labels)
 
         lr = warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
         grad_norm = float(np.abs(out.grad_cosines).max())

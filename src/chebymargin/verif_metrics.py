@@ -83,14 +83,8 @@ def _operating_points(trials: Trials):
     return far, frr
 
 
-def compute_eer(trials: Trials) -> float:
-    """Equal error rate.
-
-    ``FAR - FRR`` is non-increasing along the cuts; the rate is linearly
-    interpolated between the two adjacent operating points where the sign
-    changes.
-    """
-    far, frr = _operating_points(trials)
+def _eer(far: np.ndarray, frr: np.ndarray) -> float:
+    """:func:`compute_eer` from the operating points."""
     diff = far - frr
     # diff is +1 at the first cut and -1 at +inf, so 0 < idx < diff.size.
     idx = int(np.argmax(diff <= 0))
@@ -100,6 +94,22 @@ def compute_eer(trials: Trials) -> float:
     return float(frr[idx - 1] + alpha * (frr[idx] - frr[idx - 1]))
 
 
+def _min_dcf(far: np.ndarray, frr: np.ndarray, params: DcfParams) -> float:
+    """:func:`compute_min_dcf` from the operating points."""
+    p = params.p_target
+    return float(np.min(p * frr + (1.0 - p) * far) / min(p, 1.0 - p))
+
+
+def compute_eer(trials: Trials) -> float:
+    """Equal error rate.
+
+    ``FAR - FRR`` is non-increasing along the cuts; the rate is linearly
+    interpolated between the two adjacent operating points where the sign
+    changes.
+    """
+    return _eer(*_operating_points(trials))
+
+
 def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     """Minimum normalized detection cost over all thresholds.
 
@@ -107,9 +117,14 @@ def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     ``min(p_t, 1 - p_t)``, the better of the two score-blind decisions,
     so the value lies in [0, 1].
     """
+    return _min_dcf(*_operating_points(trials), params)
+
+
+def _eer_and_min_dcf(trials: Trials, params: DcfParams) -> tuple[float, float]:
+    """:func:`compute_eer` and :func:`compute_min_dcf` of ``trials``, from
+    one sweep of its operating points."""
     far, frr = _operating_points(trials)
-    p = params.p_target
-    return float(np.min(p * frr + (1.0 - p) * far) / min(p, 1.0 - p))
+    return _eer(far, frr), _min_dcf(far, frr, params)
 
 
 _SCORE_FORMAT = "'enroll test score'"
@@ -422,7 +437,14 @@ def _receive_columns(children, reader, trial_file: str) -> _KeyColumns:
     result = pickle.loads(frames[0], buffers=frames[1:])
     if isinstance(result, Exception):
         raise result
-    return result
+    # An unpickled array's dtype is a copy that numpy does not take for its
+    # builtin one, and that puts ufuncs such as ``np.minimum.at`` on a path
+    # over ten times slower; a view as the builtin dtype is not.  The key
+    # columns' ``S`` dtypes have no builtin form.
+    names = ("hashes", "lengths", "slots", "lines", "values")
+    return result._replace(
+        **{name: (a := getattr(result, name)).view(np.dtype(a.dtype.str)) for name in names}
+    )
 
 
 def _forks(trial_file: str) -> bool:

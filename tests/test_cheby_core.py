@@ -203,6 +203,19 @@ class TestEvenKernel:
         np.testing.assert_array_equal(value.ravel(), one_by_one[: 7 * 300, 0])
         np.testing.assert_array_equal(deriv.ravel(), one_by_one[: 7 * 300, 1])
 
+    @pytest.mark.parametrize("n", [64, cheby_core._CLENSHAW_COPY_MAX + 1])
+    def test_plan_reused_gives_fresh_results(self, n):
+        """One plan evaluated on several inputs gives each the bits of its
+        own plan, and a later call leaves an earlier result as it was."""
+        a = coefficients(0.3, 30).coefficients
+        evaluate = cheby_core._clenshaw_plan(a, n)
+        inputs = [np.random.default_rng(seed).uniform(-1.0, 1.0, n) for seed in range(3)]
+        results = [evaluate(x) for x in inputs]
+        for x, (value, deriv) in zip(inputs, results):
+            fresh_value, fresh_deriv = cheby_core._even_clenshaw(a, x)
+            np.testing.assert_array_equal(value, fresh_value)
+            np.testing.assert_array_equal(deriv, fresh_deriv)
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             series_value_and_derivative(coefficients(0.3, 4), np.array([0.0, -1.5]))

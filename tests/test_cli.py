@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from chebymargin import verif_metrics
 from chebymargin.cli import SEED_ENV, main
 from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
 
@@ -222,6 +223,27 @@ class TestScore:
         code, out, _ = run_cli(capsys, "score", "--trials", t, "--scores", s)
         assert code == 0
         assert out == printed
+
+    def test_one_sweep_gives_both_metrics(self, capsys, tmp_path, monkeypatch):
+        """``score`` sorts the scores into operating points once and prints
+        what ``compute_eer`` and ``compute_min_dcf`` return."""
+        t, s = self.write_files(
+            tmp_path, "1 a x\n0 a y\n1 b z\n0 b w\n", "a x 0.9\na y 0.5\nb z 0.4\nb w 0.1\n"
+        )
+        trials = verif_metrics.parse_trials(t, s)
+        params = verif_metrics.DcfParams(0.2)
+        eer = verif_metrics.compute_eer(trials)
+        min_dcf = verif_metrics.compute_min_dcf(trials, params)
+        sweeps = []
+        sweep = verif_metrics._operating_points
+        monkeypatch.setattr(
+            verif_metrics, "_operating_points", lambda trials: sweeps.append(1) or sweep(trials)
+        )
+        code, out, _ = run_cli(
+            capsys, "score", "--trials", t, "--scores", s, "--p-target", "0.2"
+        )
+        assert (code, out) == (0, f"EER% {eer * 100.0:.4f}\nminDCF {min_dcf:.4f}\n")
+        assert len(sweeps) == 1
 
     def test_missing_score_exits_one(self, capsys, tmp_path):
         t, s = self.write_files(tmp_path, "1 a x\n0 a y\n", "a x 0.9\n")

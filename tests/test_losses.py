@@ -409,7 +409,7 @@ def reference_loss_forward(spec, cosines, labels):
         a = coefficients(spec.margin, spec.degree).coefficients
         psi, dpsi = reference_even_clenshaw(a, target_cos)
     else:
-        psi, dpsi = losses._target_transform(spec, target_cos)
+        psi, dpsi = losses._target_transform(spec, target_cos.size)(target_cos)
     target_logit = spec.scale * psi
     work = spec.scale * cosines
     work[rows, labels] = target_logit
@@ -423,6 +423,22 @@ def reference_loss_forward(spec, cosines, labels):
     work *= spec.scale / denom[:, None]
     work[rows, labels] = -spec.scale * dpsi * nontarget_mass
     return per_sample, float(np.mean(per_sample)), work
+
+
+class TestPreparedForward:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind.value)
+    def test_reused_step_gives_fresh_outputs(self, spec):
+        """One prepared step over several batches gives each the bits of
+        ``loss_forward``, and a later call leaves an earlier output as it was."""
+        forward = losses._forward(spec, 8, 16)
+        batches = [random_batch(seed, limit=1.0) for seed in range(3)]
+        outputs = [forward(batch.cosines, batch.labels) for batch in batches]
+        for batch, out in zip(batches, outputs):
+            want = loss_forward(spec, batch)
+            np.testing.assert_array_equal(out.per_sample_loss, want.per_sample_loss)
+            assert out.mean_loss == want.mean_loss
+            np.testing.assert_array_equal(out.grad_cosines, want.grad_cosines)
+            np.testing.assert_array_equal(out.target_cosines, want.target_cosines)
 
 
 class TestLossForwardBits:

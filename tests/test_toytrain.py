@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebymargin.cheby_core import coefficients, lipschitz_constant
-from chebymargin.losses import LossKind, LossSpec
+from chebymargin.losses import CosineBatch, LossKind, LossSpec, default_margin, loss_forward
 from chebymargin.toytrain import (
     STABILITY_SCALE,
+    WARMUP_FRACTION,
+    StepRecord,
     TrainConfig,
     TrainTelemetry,
+    _unit_rows,
     make_sphere_clusters,
     train,
     warmup_cosine_lr,
@@ -311,6 +314,81 @@ class TestTrain:
         aam = train(small_config(aam_spec, **shared))
         assert not cheby.nan_seen
         assert cheby.grad_norm_max <= aam.grad_norm_max
+
+
+def reference_train(config):
+    """``train`` through the public loss path: per step, a ``take`` of the
+    batch's points and labels, a checked ``CosineBatch`` and ``loss_forward``,
+    then the same update and halt."""
+    data = make_sphere_clusters(config)
+    rng = np.random.default_rng([config.seed, 1])
+    weights = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
+    n = data.labels.size
+    total_steps = config.epochs * -(-n // config.batch_size)
+    telemetry = TrainTelemetry()
+    batches = (
+        order[start : start + config.batch_size]
+        for order in (rng.permutation(n) for _ in range(config.epochs))
+        for start in range(0, n, config.batch_size)
+    )
+    for step, idx in enumerate(batches):
+        points, labels = data.points.take(idx, axis=0), data.labels.take(idx)
+        cosines = (points @ weights.T).clip(-1.0, 1.0)
+        out = loss_forward(config.loss, CosineBatch(cosines, labels))
+        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
+        grad_norm = float(np.abs(out.grad_cosines).max())
+        record = StepRecord(step, lr, out.mean_loss, grad_norm, float(out.target_cosines.max()))
+        telemetry.records.append(record)
+        finite = math.isfinite(out.mean_loss) and math.isfinite(grad_norm)
+        if finite:
+            telemetry.grad_norm_max = max(telemetry.grad_norm_max, grad_norm)
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = _unit_rows(weights - lr * (out.grad_cosines.T @ points / labels.size))
+        if not (finite and np.isfinite(weights).all()):
+            telemetry.nan_step = step
+            break
+    predictions = np.argmax(data.points @ weights.T, axis=1)
+    telemetry.final_accuracy = float(np.mean(predictions == data.labels))
+    telemetry.final_weights = weights
+    return telemetry
+
+
+def assert_same_run(got, want):
+    assert got.records == want.records
+    assert (got.nan_step, got.grad_norm_max, got.final_accuracy) == (
+        want.nan_step,
+        want.grad_norm_max,
+        want.final_accuracy,
+    )
+    np.testing.assert_array_equal(got.final_weights, want.final_weights)
+
+
+class TestPreparedStep:
+    """The step ``train`` prepares once per run gives the bits of the
+    public path that checks every batch."""
+
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_matches_the_public_path(self, kind):
+        """220 points at batch 64 leave a short last batch of 28."""
+        spec = LossSpec(kind, margin=default_margin(kind), scale=8.0, degree=30)
+        config = small_config(spec, epochs=3, batch_size=64, samples_per_class=55, spread=0.5)
+        assert_same_run(train(config), reference_train(config))
+
+    def test_matches_the_public_path_at_the_overflow_halt(self):
+        spec = LossSpec(LossKind.CHEBY_AAM, scale=1e308)
+        config = small_config(spec, batch_size=64, samples_per_class=55)
+        with np.errstate(all="ignore"):
+            got, want = train(config), reference_train(config)
+        assert got.nan_step == 0
+        assert_same_run(got, want)
+
+    def test_rejects_points_that_overflow(self):
+        """A spread so large that the cluster points overflow is an error
+        at the run's boundary, as the batch check made it at the first step."""
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^spread 1e\+308 overflows the cluster points$"
+        ):
+            train(small_config(CHEBY, spread=1e308))
 
 
 class TestTelemetryFiles:

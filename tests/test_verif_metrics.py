@@ -717,6 +717,23 @@ class TestParseTrialsKeys:
         with parsing(2, forked):
             assert_matches_reference(t, s)
 
+    def test_received_columns_have_builtin_dtypes(self, tmp_path, monkeypatch):
+        """The child's columns come back with numpy's builtin dtypes, on
+        which ``np.minimum.at`` in the repeat check takes its fast path."""
+        received = []
+        receive = verif_metrics._receive_columns
+        monkeypatch.setattr(
+            verif_metrics,
+            "_receive_columns",
+            lambda *args: received.append(receive(*args)) or received[-1],
+        )
+        t, s = write_pair(tmp_path, "1 a x\n0 b y\n", SCORES_ABCD)
+        with parsing(2, forked=True):
+            parse_trials(t, s)
+        (columns,) = received
+        for name in ("hashes", "lengths", "slots", "lines", "values"):
+            assert getattr(columns, name).dtype.isbuiltin == 1, name
+
     @pytest.mark.parametrize(
         "failure, scores, raised, message",
         [
