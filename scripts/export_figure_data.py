@@ -13,9 +13,12 @@ import argparse
 import os
 import sys
 
+from chebymargin.cli import _comma_list
 from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
 from chebymargin.losses import LossKind, LossSpec, default_margin
+
+SWEEP_SCALES = (1.0, 30.0, 32.0, 64.0)
 
 
 def main():
@@ -27,35 +30,42 @@ def main():
     parser.add_argument("--surface-grid", type=int, default=201)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
-    degrees = [int(d) for d in args.degrees.split(",") if d]
-    if not degrees:
-        sys.exit(f"{parser.prog}: error: --degrees needs at least one degree, got {args.degrees!r}")
+    # Every spec is built, and so checked, before the first directory or
+    # file is made; a curve degree is checked as a ChebyAAM spec's.
+    try:
+        degrees = _comma_list("--degrees", args.degrees, int, "degree")
+        for degree in degrees:
+            LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=degree)
+        specs = [
+            LossSpec(LossKind.N_SOFTMAX, scale=args.scale),
+            LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=args.scale),
+            LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=max(degrees)),
+        ]
+        sweep = [
+            (scale, spec)
+            for scale in SWEEP_SCALES
+            for spec in (
+                LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=scale),
+                LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=scale, degree=max(degrees)),
+            )
+        ]
+    except ValueError as exc:
+        sys.exit(f"{parser.prog}: error: {exc}")
     os.makedirs(args.outdir, exist_ok=True)
 
     curves_path = os.path.join(args.outdir, f"curves_m{args.margin:g}.csv")
     export_curves(args.margin, degrees, args.grid, curves_path)
     print(f"wrote {curves_path}")
 
-    specs = [
-        LossSpec(LossKind.N_SOFTMAX, scale=args.scale),
-        LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=args.scale),
-        LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=max(degrees)),
-    ]
     surfaces_path = os.path.join(args.outdir, f"surfaces_m{args.margin:g}.csv")
     export_surfaces(specs, args.surface_grid, surfaces_path)
     print(f"wrote {surfaces_path}")
 
     sweep_path = os.path.join(args.outdir, "gap_sweep.csv")
     lines = ["scale,loss,grad_A,grad_B,ratio"]
-    for scale in (1.0, 30.0, 32.0, 64.0):
-        for spec in (
-            LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=scale),
-            LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=scale, degree=max(degrees)),
-        ):
-            gap = derivative_gap(spec)
-            lines.append(
-                f"{scale:g},{spec.kind.value},{gap.grad_a!r},{gap.grad_b!r},{gap.ratio!r}"
-            )
+    for scale, spec in sweep:
+        gap = derivative_gap(spec)
+        lines.append(f"{scale:g},{spec.kind.value},{gap.grad_a!r},{gap.grad_b!r},{gap.ratio!r}")
     write_lines_atomic(sweep_path, lines)
     print(f"wrote {sweep_path}")
 

@@ -35,6 +35,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _comma_list(flag: str, text: str, convert, noun: str) -> list:
+    """The entries of ``flag``'s comma list ``text``, each passed through
+    ``convert``; empty entries are skipped.  A list with no entry, or an
+    entry that ``convert`` refuses, is a ``ValueError`` naming the flag."""
+    entries = [entry for entry in text.split(",") if entry]
+    if not entries:
+        raise ValueError(f"{flag} needs at least one {noun}, got {text!r}")
+    items = []
+    for entry in entries:
+        try:
+            items.append(convert(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: bad {noun} {entry!r}") from None
+    return items
+
+
+def _loss_kinds(args) -> list:
+    return _comma_list("--losses", args.losses, LossKind, "loss kind")
+
+
 def _loss_spec(args) -> LossSpec:
     return LossSpec(LossKind(args.loss), margin=args.margin, scale=args.scale, degree=args.degree)
 
@@ -46,7 +66,7 @@ def _default_margin(args):
         return default_margin(LossKind(args.loss))
     if args.kind == "curves":
         return default_margin(LossKind.CHEBY_AAM)
-    return ",".join(str(default_margin(LossKind(name))) for name in args.losses.split(",") if name)
+    return ",".join(str(default_margin(kind)) for kind in _loss_kinds(args))
 
 
 def _print_resolved(args) -> None:
@@ -153,16 +173,16 @@ def _cmd_lipschitz(args) -> int:
 
 def _cmd_landscape(args) -> int:
     if args.kind == "curves":
-        degrees = [int(d) for d in args.degrees.split(",") if d]
+        degrees = _comma_list("--degrees", args.degrees, int, "degree")
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:
-        names = [name for name in args.losses.split(",") if name]
+        kinds = _loss_kinds(args)
         margins = [float(margin) for margin in str(args.margin).split(",") if margin]
         if len(margins) == 1:  # a given --margin serves every loss
-            margins *= len(names)
+            margins *= len(kinds)
         specs = [
-            LossSpec(LossKind(name), margin=margin, scale=args.scale, degree=args.degree)
-            for name, margin in zip(names, margins)
+            LossSpec(kind, margin=margin, scale=args.scale, degree=args.degree)
+            for kind, margin in zip(kinds, margins)
         ]
         landscape.export_surfaces(specs, args.grid, args.out)
     print(f"wrote {args.out}")

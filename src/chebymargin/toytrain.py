@@ -116,10 +116,14 @@ class TrainTelemetry:
         write_lines_atomic(path, lines)
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1, keepdims=True), by its own formula."""
+    return np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Scale the rows of ``matrix`` to unit norm in place and return it."""
-    # np.linalg.norm(matrix, axis=1, keepdims=True), by its own formula.
-    matrix /= np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
+    matrix /= _row_norms(matrix)
     return matrix
 
 
@@ -127,14 +131,22 @@ def make_sphere_clusters(config: TrainConfig) -> SphereDataset:
     """Sample balanced Gaussian clusters around random unit prototypes.
 
     Points are renormalized to the unit sphere.  Deterministic per seed.
+    A spread so large that a point or the square of its norm overflows is
+    a ``ValueError``: past about 1e154 the norm is inf, and dividing by it
+    would leave the point all zeros.
     """
     rng = np.random.default_rng(config.seed)
     prototypes = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
     labels = np.repeat(np.arange(config.num_classes), config.samples_per_class)
     points = rng.standard_normal((labels.size, config.dim))
-    points *= config.spread
-    points += prototypes[labels]
-    return SphereDataset(points=_unit_rows(points), labels=labels)
+    with np.errstate(over="ignore"):
+        points *= config.spread
+        points += prototypes[labels]
+        norms = _row_norms(points)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"spread {config.spread!r} overflows the cluster points")
+    points /= norms
+    return SphereDataset(points=points, labels=labels)
 
 
 def warmup_cosine_lr(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:
@@ -154,12 +166,10 @@ def train(config: TrainConfig) -> TrainTelemetry:
     Prototype rows are renormalized after every update so logits remain
     cosines.  A non-finite loss, gradient or weight halts the run and sets
     ``nan_step`` instead of raising, so paired comparisons always get telemetry.
-    A spread so large that the cluster points overflow is a ``ValueError``,
-    raised before the first step.
+    A spread so large that the cluster points overflow is a ``ValueError``
+    from :func:`make_sphere_clusters`, raised before the first step.
     """
     data = make_sphere_clusters(config)
-    if not np.isfinite(data.points).all():
-        raise ValueError(f"spread {config.spread!r} overflows the cluster points")
     rng = np.random.default_rng([config.seed, 1])
     weights = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
 
@@ -167,9 +177,10 @@ def train(config: TrainConfig) -> TrainTelemetry:
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * steps_per_epoch
     starts = range(0, n, config.batch_size)
-    # The run's inputs are checked here, once: the points are finite, the
-    # labels are the dataset's, and each step's clip bounds its cosines, so
-    # the steps build no CosineBatch.  One prepared loss step per batch
+    # The run's inputs are checked once: the points are finite, as
+    # make_sphere_clusters refuses a spread that overflows them, the labels
+    # are the dataset's, and each step's clip bounds its cosines, so the
+    # steps build no CosineBatch.  One prepared loss step per batch
     # size, as an epoch's last batch may be shorter.
     forwards = {
         rows: _forward(config.loss, rows, config.num_classes)

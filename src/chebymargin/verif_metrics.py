@@ -10,7 +10,6 @@ sign.
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 from dataclasses import dataclass
@@ -129,59 +128,122 @@ def _eer_and_min_dcf(trials: Trials, params: DcfParams) -> tuple[float, float]:
 
 _SCORE_FORMAT = "'enroll test score'"
 _TRIAL_FORMAT = "'label enroll test' with label 0/1"
-# Lines read and tokenized at a time; only one chunk's tokens are alive.
-# Chunks of 4096 to 32768 lines tokenize about equally fast; 131072 is slower.
-_CHUNK_LINES = 16384
-# A trial file of at least about one chunk of VoxCeleb-shaped lines is read
-# in a forked child while this process reads the score file; a smaller one
-# is read faster than the fork costs.
+# Characters read at a time, each block then completed to its next newline;
+# only one block's tokens are alive.
+_BLOCK_CHARS = 1 << 20
+# Rows whose keys ``_same_keys`` compares at a time.
+_COMPARE_ROWS = 16384
+# A trial file of at least about one read block is read in a forked child
+# while this process reads the score file; a smaller one is read faster
+# than the fork costs.
 _FORK_MIN_BYTES = 1 << 20
 # The 64-bit hash of an "enroll test" key.  A forked child shares this
 # process's string-hash secret, so both give a key the same hash.
 _key_hash = hash
 
 
-def _row_chunks(path: str, expected: str):
-    """Read a three-field-per-line file once, ``_CHUNK_LINES`` lines at a time.
+def _single_spaced(text: str, key_at: int):
+    """The key length of every line of ``text``, or ``None`` unless each
+    line is three non-empty fields joined by single spaces.
 
-    Yields ``(start, lines, tokens, rows, error)`` per chunk: the 1-based
-    number of the chunk's first line, its raw lines, the flat whitespace
-    tokens (three per row), the index in ``lines`` of every row, and
-    ``None`` or the ``(line, message)`` of a line that ends the read.
-    Blank lines are skipped.  Such a line is the first other line without
-    exactly three fields, or the line of the first byte that is not UTF-8;
-    its chunk holds only the rows before it and is the last one yielded.
+    ``text`` is ASCII and ends in a newline.  One scan of its bytes finds
+    every byte of at most 0x20: they must be space, space, newline for
+    each line in turn, with at least one other byte before each.  A key
+    is fields ``key_at`` and ``key_at + 1`` and the space between them.
+    """
+    # A first line that fails is found without the scan: a file that is
+    # not single-spaced mostly fails on every block's first line.
+    first = text[: text.index("\n")]
+    if first.count(" ") != 2 or len(first.split()) != 3:
+        return None
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    marks = np.flatnonzero(data <= 0x20)
+    if data[marks].tobytes() != b"  \n" * (marks.size // 3):
+        return None
+    # Field k of line i lies strictly between bounds[3 i + k] and the next
+    # bound; the first bound stands for a newline before the text.
+    bounds = np.concatenate(([-1], marks))
+    if np.diff(bounds).min() < 2:
+        return None
+    return (bounds[key_at + 2 :: 3] - bounds[key_at : -1 : 3] - 1).astype(np.int32)
+
+
+def _split_lines(text: str, start: int, expected: str):
+    """Tokenize ``text``, whose first line is line ``start``, line by line.
+
+    Returns ``(tokens, rows, n_lines, error)``: the flat whitespace tokens
+    (three per row), the index among the lines of every line that is not
+    blank, the number of lines, and ``None`` or the ``(line, message)`` of
+    the first other line without exactly three fields or the line of the
+    first byte that is not UTF-8.  The rows and tokens stop before it.
+    """
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    n_lines, error = len(lines), None
+    # Each byte that is not UTF-8 was read as a lone surrogate, which
+    # strict encoding refuses.
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError as exc:
+            k = text.count("\n", 0, exc.start)
+            byte = ord(text[exc.start]) - 0xDC00
+            error = start + k, f"cannot decode byte 0x{byte:02x} as UTF-8"
+            lines = lines[:k]
+    tokens = []
+    extend = tokens.extend
+    counts = np.fromiter(
+        (extend(fields) or len(fields) for fields in map(str.split, lines)),
+        dtype=np.intp,
+        count=len(lines),
+    )
+    rows = np.flatnonzero(counts)
+    bad = np.flatnonzero(counts[rows] != 3)
+    if bad.size:
+        k = int(bad[0])
+        row = int(rows[k])
+        error = start + row, f"expected {expected}, got {lines[row].strip()!r}"
+        rows, tokens = rows[:k], tokens[: 3 * k]
+    return tokens, rows, n_lines, error
+
+
+def _row_blocks(path: str, expected: str, key_at: int):
+    """Read a three-field-per-line file once, a block at a time: about
+    ``_BLOCK_CHARS`` characters, completed to the next newline.
+
+    Yields ``(start, text, tokens, rows, lengths, error)`` per block: the
+    1-based number of its first line, its text, the flat whitespace tokens
+    (three per row), the index among its lines of every row, each row's
+    key length in bytes or ``None``, and ``None`` or the ``(line,
+    message)`` of a line that ends the read (:func:`_split_lines`); the
+    block holding that line is the last one yielded.  Blank lines are
+    skipped.
+
+    A block that is ASCII, ends in a newline and holds only single-spaced
+    lines (:func:`_single_spaced`) is tokenized with one ``str.split``,
+    and the same scan gives its key lengths.  Any other block is split
+    line by line, and its key lengths are left to the caller.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         start, error = 1, None
-        while error is None and (lines := list(itertools.islice(fh, _CHUNK_LINES))):
-            # Each byte that is not UTF-8 was read as a lone surrogate,
-            # which strict encoding refuses.
-            text = "".join(lines)
-            if not text.isascii():
-                try:
-                    text.encode()
-                except UnicodeEncodeError as exc:
-                    k = text.count("\n", 0, exc.start)
-                    byte = ord(text[exc.start]) - 0xDC00
-                    error = start + k, f"cannot decode byte 0x{byte:02x} as UTF-8"
-                    lines = lines[:k]
-            tokens = []
-            extend = tokens.extend
-            counts = np.fromiter(
-                (extend(fields) or len(fields) for fields in map(str.split, lines)),
-                dtype=np.intp,
-                count=len(lines),
-            )
-            rows = np.flatnonzero(counts)
-            bad = np.flatnonzero(counts[rows] != 3)
-            if bad.size:
-                k = int(bad[0])
-                row = int(rows[k])
-                error = start + row, f"expected {expected}, got {lines[row].strip()!r}"
-                rows, tokens = rows[:k], tokens[: 3 * k]
-            yield start, lines, tokens, rows, error
-            start += len(lines)
+        while error is None and (text := fh.read(_BLOCK_CHARS)):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            lengths = None
+            if text.isascii() and text.endswith("\n"):
+                lengths = _single_spaced(text, key_at)
+            if lengths is None:
+                tokens, rows, n_lines, error = _split_lines(text, start, expected)
+            else:
+                tokens, rows, n_lines = text.split(), np.arange(lengths.size), lengths.size
+            yield start, text, tokens, rows, lengths, error
+            start += n_lines
+
+
+def _line(text: str, k: int) -> str:
+    """Line ``k`` of ``text``, counted from 0, stripped for a message."""
+    return text.split("\n", k + 1)[k].strip()
 
 
 def _raise_first(path: str, *errors) -> None:
@@ -255,7 +317,8 @@ class _KeyColumns(NamedTuple):
 
 
 def _key_columns(path: str, layout) -> _KeyColumns:
-    """Read ``path`` once, ``_CHUNK_LINES`` lines at a time, into key columns.
+    """Read ``path`` once, a block at a time (:func:`_row_blocks`), into
+    key columns.
 
     ``layout`` is ``_SCORES`` or ``_TRIALS``.  The read stops at the first
     line with a format error: a field count, a label or a score value.
@@ -264,8 +327,8 @@ def _key_columns(path: str, layout) -> _KeyColumns:
     parts = [(np.empty(0, np.int64), *[np.empty(0, np.int32)] * 3, parse([], None)[0])]
     keys: dict = {}  # key length -> bytearray of the keys of that length
     error = None
-    for start, lines, tokens, rows, error in _row_chunks(path, expected):
-        values, bad = parse(tokens[value_at::3], lambda i: lines[rows[i]].strip())
+    for start, text, tokens, rows, lengths, error in _row_blocks(path, expected, key_at):
+        values, bad = parse(tokens[value_at::3], lambda i: _line(text, int(rows[i])))
         if bad is not None:
             i, message = bad
             error = start + int(rows[i]), message
@@ -273,14 +336,21 @@ def _key_columns(path: str, layout) -> _KeyColumns:
         n = rows.size
         enrolls, tests = tokens[key_at : 3 * n : 3], tokens[key_at + 1 : 3 * n : 3]
         pair_keys = list(map(" ".join, zip(enrolls, tests)))
-        encoded = list(map(str.encode, pair_keys))
-        lengths = np.fromiter(map(len, encoded), dtype=np.int32, count=n)
+        # The scan gave an ASCII block's key lengths, and an ASCII key has as
+        # many bytes as characters: each length's keys are encoded at once.
+        ascii_keys = lengths is not None
+        if ascii_keys:
+            pieces, lengths = pair_keys, lengths[:n]
+        else:
+            pieces = list(map(str.encode, pair_keys))
+            lengths = np.fromiter(map(len, pieces), dtype=np.int32, count=n)
         slots = np.empty(n, dtype=np.int32)
         for length in np.unique(lengths).tolist():
             at = np.flatnonzero(lengths == length)
             column = keys.setdefault(length, bytearray())
             slots[at] = np.arange(at.size) + len(column) // length
-            column += b"".join(encoded if at.size == n else [encoded[i] for i in at.tolist()])
+            group = pieces if at.size == n else [pieces[i] for i in at.tolist()]
+            column += "".join(group).encode() if ascii_keys else b"".join(group)
         hashes = np.fromiter(map(_key_hash, pair_keys), dtype=np.int64, count=n)
         parts.append((hashes, lengths, slots, (start + rows).astype(np.int32), values[:n]))
         if error is not None:
@@ -309,10 +379,10 @@ def _pair(columns: _KeyColumns, row) -> str:
 def _same_keys(a: _KeyColumns, rows_a, b: _KeyColumns, rows_b) -> bool:
     """Whether row ``rows_a[i]`` of ``a`` (row ``i`` if ``rows_a`` is None)
     holds the key of row ``rows_b[i]`` of ``b``, for every ``i`` with
-    ``rows_b[i] >= 0``; compared a chunk of keys at a time."""
-    for i in range(0, rows_b.size, _CHUNK_LINES):
-        rb = rows_b[i : i + _CHUNK_LINES]
-        ra = np.arange(i, i + rb.size) if rows_a is None else rows_a[i : i + _CHUNK_LINES]
+    ``rows_b[i] >= 0``; compared ``_COMPARE_ROWS`` keys at a time."""
+    for i in range(0, rows_b.size, _COMPARE_ROWS):
+        rb = rows_b[i : i + _COMPARE_ROWS]
+        ra = np.arange(i, i + rb.size) if rows_a is None else rows_a[i : i + _COMPARE_ROWS]
         ra, rb = ra[rb >= 0], rb[rb >= 0]
         lengths = a.lengths[ra]
         if np.any(lengths != b.lengths[rb]):
@@ -468,9 +538,13 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     label, score value) wins over a join error (duplicate, missing pair).
     The output preserves trial-file order.
 
-    Each file is read once, in chunks of ``_CHUNK_LINES`` lines, into key
-    columns: per row a 64-bit key hash, the key's bytes, the line number
-    and the score or label.  Both files' columns are held for the join,
+    Each file is read once, in blocks of about ``_BLOCK_CHARS`` characters
+    completed to the next newline, into key columns.  A block of ASCII
+    lines that are each three non-empty fields joined by single spaces is
+    tokenized with one ``str.split``; any other block is split line by
+    line, to the same columns, messages and line numbers.  The columns
+    hold per row a 64-bit key hash, the key's bytes, the line number and
+    the score or label.  Both files' columns are held for the join,
     which sorts the score hashes, looks up the trial hashes and confirms
     every match on the key bytes; if two distinct keys share a hash, the
     join is redone on exact key numbers.  When the affinity mask has two

@@ -394,20 +394,40 @@ class TestRejectedSettings:
         assert out == ""
         assert list(tmp_path.iterdir()) == [config]
 
+    # At 1e308 the points overflow; at 1e200 only the squares of their norms.
+    @pytest.mark.parametrize("spread, shown", [("1e308", "1e+308"), ("1e200", "1e+200")])
+    def test_train_rejects_a_spread_that_overflows_the_points(
+        self, capsys, tmp_path, spread, shown
+    ):
+        code, out, err = run_cli(
+            capsys, "train", "--epochs", "1", "--spread", spread, "--out", str(tmp_path / "t.csv")
+        )
+        assert code == 1
+        assert err.endswith(f"chebymargin train: error: spread {shown} overflows the cluster points\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (["--degrees", "30,30"], "duplicate degree 30"),
-            (["--degrees", "", "--margin", "5"], "need at least one degree"),
+            (["--degrees", "30,30"], "duplicate degree 30 in curve export"),
+            (["--degrees", "", "--margin", "5"], "--degrees needs at least one degree, got ''"),
+            (["--degrees", "2,x"], "--degrees: bad degree 'x'"),
+            (["--kind", "surfaces", "--losses", "chebyaam,foo"], "--losses: bad loss kind 'foo'"),
+            (
+                ["--kind", "surfaces", "--losses", ",", "--margin", "0.3"],
+                "--losses needs at least one loss kind, got ','",
+            ),
         ],
     )
-    def test_curves_reject_empty_or_repeated_degrees(self, capsys, tmp_path, argv, named):
-        out_path = tmp_path / "curves.csv"
+    def test_landscape_rejects_a_bad_list(self, capsys, tmp_path, argv, named):
+        """A list error names the flag and the bad entry."""
+        out_path = tmp_path / "landscape.csv"
         code, out, err = run_cli(
             capsys, "landscape", "--kind", "curves", *argv, "--out", str(out_path)
         )
         assert code == 1
-        assert named in err
+        assert err.endswith(f"chebymargin landscape: error: {named}\n")
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -66,16 +66,28 @@ def test_stability_comparison(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, flag, message",
+    "name, argv, message",
     [
-        ("export_figure_data.py", "--degrees", "--degrees needs at least one degree, got ','"),
-        ("stability_comparison.py", "--margins", "--margins needs at least one margin, got ','"),
+        (
+            "export_figure_data.py", ["--degrees", ","],
+            "--degrees needs at least one degree, got ','",
+        ),
+        (
+            "stability_comparison.py", ["--margins", ","],
+            "--margins needs at least one margin, got ','",
+        ),
+        ("export_figure_data.py", ["--degrees", "2,x"], "--degrees: bad degree 'x'"),
+        ("export_figure_data.py", ["--degrees", "2,0"], "series degree must be >= 1, got 0"),
+        (
+            "export_figure_data.py", ["--margin", "2"],
+            "angular margin must be in [0, pi/2), got 2.0",
+        ),
     ],
 )
-def test_all_empty_list_is_refused_before_any_write(tmp_path, name, flag, message):
+def test_bad_input_is_refused_before_any_write(tmp_path, name, argv, message):
     outdir = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), flag, ",", "--outdir", str(outdir)],
+        [sys.executable, str(SCRIPTS / name), *argv, "--outdir", str(outdir)],
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stdout) == (1, "")

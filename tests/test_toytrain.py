@@ -382,13 +382,14 @@ class TestPreparedStep:
         assert got.nan_step == 0
         assert_same_run(got, want)
 
-    def test_rejects_points_that_overflow(self):
+    # At 1e308 the points overflow; at 1e200 only the squares of their norms.
+    @pytest.mark.parametrize("spread, shown", [(1e308, r"1e\+308"), (1e200, r"1e\+200")])
+    def test_rejects_points_that_overflow(self, spread, shown):
         """A spread so large that the cluster points overflow is an error
-        at the run's boundary, as the batch check made it at the first step."""
-        with np.errstate(all="ignore"), pytest.raises(
-            ValueError, match=r"^spread 1e\+308 overflows the cluster points$"
-        ):
-            train(small_config(CHEBY, spread=1e308))
+        at the run's boundary, as the batch check made it at the first step,
+        and no overflow warning escapes."""
+        with pytest.raises(ValueError, match=f"^spread {shown} overflows the cluster points$"):
+            train(small_config(CHEBY, spread=spread))
 
 
 class TestTelemetryFiles:

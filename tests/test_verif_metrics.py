@@ -97,16 +97,20 @@ def assert_matches_reference(trial_file, scores_file):
 
 
 @contextlib.contextmanager
-def parsing(chunk_lines, forked=False):
-    """Context in which ``parse_trials`` reads ``chunk_lines`` lines at a
-    time and, if ``forked``, reads the trial file in a child: two CPUs and
-    no small-file rule.  Otherwise one CPU, and a fork fails the test.  On
-    leaving it, exactly ``forked`` forks were made and no child is left.
+def parsing(block_chars, forked=False, per_line=False):
+    """Context in which ``parse_trials`` reads blocks of ``block_chars``
+    characters, each completed to its next newline, splits every block
+    line by line if ``per_line``, and, if ``forked``, reads the trial file
+    in a child: two CPUs and no small-file rule.  Otherwise one CPU, and a
+    fork fails the test.  On leaving it, exactly ``forked`` forks were made
+    and no child is left.
 
     Hypothesis tests may not take the function-scoped ``monkeypatch``.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
+        patch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
+        if per_line:
+            patch.setattr(verif_metrics, "_single_spaced", lambda text, key_at: None)
         forks = fake_cpus(patch, 2 if forked else 1, None if forked else 0)
         if forked:
             patch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
@@ -357,9 +361,9 @@ class TestParseTrials:
 SCORES_ABCD = "a x 0.1\nb y 0.2\nc z 0.3\nd w 0.4\n"
 
 
-class TestParseTrialsChunks:
-    """Two-line chunks: each file is streamed, yet its first bad line wins,
-    whichever chunk it and the later errors sit in."""
+class TestParseTrialsBlocks:
+    """Small blocks: each file is streamed, yet its first bad line wins,
+    whichever block it and the later errors sit in."""
 
     @pytest.mark.parametrize(
         "trials, scores, message",
@@ -368,49 +372,49 @@ class TestParseTrialsChunks:
                 "1 a x\n",
                 "a x bad\nb y 0.2\nc z 0.3\nd w 0.4\ne v\n",
                 r"s\.txt:1: bad score 'bad'$",
-                id="field-count-in-chunk-3-loses-to-bad-score-in-chunk-1",
+                id="field-count-in-block-3-loses-to-bad-score-in-block-1",
             ),
             pytest.param(
                 "1 a x\n0 q q\n1 b y\n2 c z\n",
                 SCORES_ABCD,
                 r"t\.txt:2: no score for trial pair \(q, q\)$",
-                id="bad-label-in-chunk-2-loses-to-missing-pair-in-chunk-1",
+                id="bad-label-in-block-2-loses-to-missing-pair-in-block-1",
             ),
             pytest.param(
                 "1 a x\n",
                 "a x 0.1\nb y inf\nc z nope\n",
                 r"s\.txt:2: score must be finite, got 'inf'$",
-                id="bad-score-in-chunk-2-loses-to-non-finite-in-chunk-1",
+                id="bad-score-in-block-2-loses-to-non-finite-in-block-1",
             ),
             pytest.param(
                 "1 a x\n",
                 "a x 0.1\na x 0.2\nc z nope\n",
                 r"s\.txt:2: duplicate score for \(a, x\)$",
-                id="bad-score-in-chunk-2-loses-to-duplicate-in-chunk-1",
+                id="bad-score-in-block-2-loses-to-duplicate-in-block-1",
             ),
             pytest.param(
                 "1 a x\n1 a x\n0 b y\n1 q q\n",
                 SCORES_ABCD,
                 r"t\.txt:2: duplicate trial pair \(a, x\), first on line 1$",
-                id="missing-pair-in-chunk-2-loses-to-duplicate-trial-in-chunk-1",
+                id="missing-pair-in-block-2-loses-to-duplicate-trial-in-block-1",
             ),
             pytest.param(
                 "1 a x\n",
                 "a x 0.1\nb y 0.2\nc z 0.3\nb y 0.4\na x 0.5\n",
                 r"s\.txt:4: duplicate score for \(b, y\)$",
-                id="duplicate-score-across-chunks-names-second-line",
+                id="duplicate-score-across-blocks-names-second-line",
             ),
             pytest.param(
                 "0 b y\n\n1 a x\n0 c z\n1 a x\n",
                 SCORES_ABCD,
                 r"t\.txt:5: duplicate trial pair \(a, x\), first on line 3$",
-                id="duplicate-trial-across-chunks-names-both-lines",
+                id="duplicate-trial-across-blocks-names-both-lines",
             ),
             pytest.param(
                 "1 a x\n0 b y\n1 a x\n1 a x\n",
                 SCORES_ABCD,
                 r"t\.txt:3: duplicate trial pair \(a, x\), first on line 1$",
-                id="two-repeats-in-one-chunk-name-the-earlier-chunks-line",
+                id="two-repeats-in-one-block-name-the-earlier-blocks-line",
             ),
             pytest.param(
                 "1 a x\n",
@@ -420,15 +424,19 @@ class TestParseTrialsChunks:
             ),
         ],
     )
-    def test_first_error_wins_across_chunks(self, tmp_path, monkeypatch, trials, scores, message):
-        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", 2)
+    # One line per read; two lines per read of these 6- and 8-byte lines.
+    @pytest.mark.parametrize("block_chars", [1, 12])
+    def test_first_error_wins_across_blocks(
+        self, tmp_path, monkeypatch, block_chars, trials, scores, message
+    ):
+        monkeypatch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
         t, s = tmp_path / "t.txt", tmp_path / "s.txt"
         t.write_text(trials, encoding="utf-8")
         s.write_text(scores, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
             parse_trials(str(t), str(s))
 
-    @pytest.mark.parametrize("chunk_lines", [1, 2, verif_metrics._CHUNK_LINES])
+    @pytest.mark.parametrize("block_chars", [1, 9, verif_metrics._BLOCK_CHARS])
     @pytest.mark.parametrize(
         "trials, scores, message",
         [
@@ -459,14 +467,41 @@ class TestParseTrialsChunks:
         ],
     )
     def test_undecodable_byte_names_its_line(
-        self, tmp_path, monkeypatch, chunk_lines, trials, scores, message
+        self, tmp_path, monkeypatch, block_chars, trials, scores, message
     ):
-        monkeypatch.setattr(verif_metrics, "_CHUNK_LINES", chunk_lines)
+        monkeypatch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
         t, s = tmp_path / "t.txt", tmp_path / "s.txt"
         t.write_bytes(trials)
         s.write_bytes(scores)
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
             parse_trials(str(t), str(s))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_block_size_gives_the_oracle_join(self, tmp_path, newline):
+        """Blocks of every size from one character to the whole file, so a
+        boundary falls in each line and between each two lines.  A blank
+        line and a tab send blocks down the per-line split; the last line
+        has no newline."""
+        trials = newline.join(["1 a x", "0 b\ty", "", "1 c z", "0 d w"])
+        scores = newline.join(["c z 0.3", "a x 0.1", "  ", "b y 0.2", "d w 0.4"])
+        t, s = write_pair(tmp_path, trials, scores)
+        for block_chars in range(1, len(scores) + 2):
+            with parsing(block_chars):
+                assert_matches_reference(t, s)
+
+    @pytest.mark.parametrize("block_chars", [1, 8182, 8190, verif_metrics._BLOCK_CHARS])
+    def test_crlf_split_between_two_reads_of_the_file(self, tmp_path, block_chars):
+        """A CRLF whose ``\\r`` is the last byte of the first 8192-byte read
+        of the file and whose ``\\n`` starts the next ends one line."""
+        first = "L" * 8175 + " x 0.5\r\n"
+        scores = first + "b y 0.25\r\n" + "c z 0.75\r\n"
+        assert scores.index("\r\n", len(first)) == 8191
+        t, s = tmp_path / "t.txt", tmp_path / "s.txt"
+        t.write_bytes(b"1 b y\r\n0 c z\r\n")
+        s.write_bytes(scores.encode())
+        with parsing(block_chars):
+            trials = parse_trials(str(t), str(s))
+        assert (trials.scores.tolist(), trials.is_target.tolist()) == ([0.25, 0.75], [True, False])
 
     @pytest.mark.parametrize(
         "trials, scores, valid",
@@ -498,7 +533,7 @@ class TestParseTrialsChunks:
         monkeypatch.setattr(verif_metrics, "open", logging_open, raising=False)
         for forked in (False, True):
             log.write_bytes(b"")
-            with parsing(2, forked), contextlib.suppress(ValueError):
+            with parsing(12, forked), contextlib.suppress(ValueError):
                 parse_trials(str(paths["t"]), str(paths["s"]))
             opened = log.read_text(encoding="utf-8").splitlines()
             counts = [opened.count(str(paths[name])) for name in "st"]
@@ -518,6 +553,7 @@ BAD_LINE_KINDS = [
 ]
 BAD_SCORES = ["x", "1.2.3", "--1", "0x10", "1e", "0.5a"]
 NON_FINITE_SCORES = ["nan", "inf", "-Infinity", "NaN", "+inf"]
+SCORE_VALUES = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
 
 
 def fixed_size(strategy, n):
@@ -526,7 +562,10 @@ def fixed_size(strategy, n):
 
 def render(data, rows):
     """Lines with random field separators and padding, and random blank
-    or whitespace-only lines interleaved."""
+    or whitespace-only lines interleaved; in about half the files, every
+    line single-spaced instead."""
+    if data.draw(st.booleans()):
+        return [" ".join(row) for row in rows]
     lines = []
     for (e, t, v), (blanks, lead, gap1, gap2, trail) in zip(
         rows, data.draw(fixed_size(LINE_STYLES, len(rows)))
@@ -557,15 +596,18 @@ def write_lines(data, directory, name, lines):
     return path
 
 
-# The default chunk and two-line chunks, whose boundaries fall between
-# rows, blank lines and bad lines alike; then two-line chunks with the
-# trial file read in a forked child.
+# The default block and 16-character blocks, whose boundaries fall inside
+# lines and between rows, blank lines and bad lines alike; 16-character
+# blocks with the trial file read in a forked child; then the default
+# block with every block split line by line, so each property checks both
+# tokenizers.
 READS = pytest.mark.parametrize(
-    "chunk_lines, forked",
+    "block_chars, forked, per_line",
     [
-        pytest.param(verif_metrics._CHUNK_LINES, False, id=f"chunk{verif_metrics._CHUNK_LINES}"),
-        pytest.param(2, False, id="chunk2"),
-        pytest.param(2, True, id="chunk2-forked"),
+        pytest.param(verif_metrics._BLOCK_CHARS, False, False, id="block"),
+        pytest.param(16, False, False, id="block16"),
+        pytest.param(16, True, False, id="block16-forked"),
+        pytest.param(verif_metrics._BLOCK_CHARS, False, True, id="per-line"),
     ],
 )
 
@@ -580,7 +622,7 @@ def examples(forked):
 
 class TestParseTrialsProperties:
     @READS
-    def test_matches_reference_join(self, chunk_lines, forked):
+    def test_matches_reference_join(self, block_chars, forked, per_line):
         @given(st.data())
         @settings(max_examples=examples(forked), deadline=None)
         def check(data):
@@ -588,7 +630,7 @@ class TestParseTrialsProperties:
             with tempfile.TemporaryDirectory() as directory:
                 t = write_lines(data, directory, "t.txt", trial_lines)
                 s = write_lines(data, directory, "s.txt", score_lines)
-                with parsing(chunk_lines, forked):
+                with parsing(block_chars, forked, per_line):
                     trials = parse_trials(t, s)
                 scores, is_target = reference_join(t, s)
             assert trials.scores.tolist() == scores
@@ -597,7 +639,7 @@ class TestParseTrialsProperties:
         check()
 
     @READS
-    def test_wrong_field_count_names_its_line(self, chunk_lines, forked):
+    def test_wrong_field_count_names_its_line(self, block_chars, forked, per_line):
         """One to three bad lines of any kind at random lines of either file:
         the first bad line, score file first, is named as the line-by-line
         oracle names it.  Lines of 2 and 4 fields may sit next to each other,
@@ -642,12 +684,88 @@ class TestParseTrialsProperties:
                     expected = reference_join(t, s)
                 except ValueError as exc:
                     message = f"^{re.escape(str(exc))}"
-                    with parsing(chunk_lines, forked), pytest.raises(ValueError, match=message):
+                    with parsing(block_chars, forked, per_line), pytest.raises(
+                        ValueError, match=message
+                    ):
                         parse_trials(t, s)
                 else:
-                    with parsing(chunk_lines, forked):
+                    with parsing(block_chars, forked, per_line):
                         trials = parse_trials(t, s)
                     assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
+
+        check()
+
+
+# Lines that must leave the single-spaced path: a separator that is not one
+# space (tab, the other ASCII whitespace ``str.split`` takes, two spaces),
+# a leading or trailing space, a blank line, a CR or CRLF line end, and an
+# id holding a NUL byte or non-ASCII whitespace.  The last three are two
+# fields whose two spaces and newline sit as a single-spaced line's do,
+# around an empty field.
+FALLBACK_KINDS = [
+    "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "  ",
+    "leading", "trailing", "blank", "\r", "\r\n", "\xa0", "\u2028", "\x00",
+    "{0}  {1}", " {0} {1}", "{0} {1} ",
+]
+
+
+def fallback_line(kind, fields):
+    """A line of ``kind`` built from three fields, with its line end."""
+    if "{0}" in kind:
+        return kind.format(*fields) + "\n"
+    line = " ".join(fields)
+    if kind in ("\r", "\r\n"):
+        return line + kind
+    if kind in ("\xa0", "\u2028", "\x00"):  # in the second field, an id
+        second = fields[1][:1] + kind + fields[1][1:]
+        return f"{fields[0]} {second} {fields[2]}\n"
+    special = {"leading": " " + line, "trailing": line + " ", "blank": ""}
+    return special.get(kind, line.replace(" ", kind, 1)) + "\n"
+
+
+def assert_same_columns(got, want):
+    for name in ("hashes", "lengths", "slots", "lines", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # Raw bytes: ``S`` comparison ignores trailing NULs.
+    assert {k: v.tobytes() for k, v in got.keys.items()} == {
+        k: v.tobytes() for k, v in want.keys.items()
+    }
+    assert got.error == want.error
+
+
+class TestBlockTokenizers:
+    def test_mixed_blocks_give_the_per_line_columns(self):
+        """Files that mix single-spaced lines with lines of every kind that
+        must be split line by line, read in blocks of several sizes, give
+        the key columns of splitting every block line by line."""
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            layout = data.draw(st.sampled_from([verif_metrics._SCORES, verif_metrics._TRIALS]))
+            rows = data.draw(st.lists(st.tuples(IDS, IDS, SCORE_VALUES), min_size=1, max_size=12))
+            lines = []
+            for enroll, test, value in rows:
+                if layout is verif_metrics._SCORES:
+                    fields = (enroll, test, value)
+                else:
+                    fields = (data.draw(st.sampled_from("01")), enroll, test)
+                kind = data.draw(st.none() | st.sampled_from(FALLBACK_KINDS))
+                lines.append(" ".join(fields) + "\n" if kind is None else fallback_line(kind, fields))
+            text = "".join(lines)
+            if data.draw(st.booleans()):  # no final newline
+                text = text[:-1]
+            block_chars = data.draw(st.sampled_from([1, 8, 16, 40, verif_metrics._BLOCK_CHARS]))
+            with tempfile.TemporaryDirectory() as directory:
+                path = os.path.join(directory, "f.txt")
+                with open(path, "wb") as fh:
+                    fh.write(text.encode())
+                with parsing(block_chars):
+                    blocks = verif_metrics._key_columns(path, layout)
+                with parsing(block_chars, per_line=True):
+                    per_line = verif_metrics._key_columns(path, layout)
+            assert_same_columns(blocks, per_line)
 
         check()
 
@@ -686,7 +804,7 @@ class TestParseTrialsKeys:
     ):
         monkeypatch.setattr(verif_metrics, "_key_hash", key_hash)
         t, s = write_pair(tmp_path, trials, scores)
-        with parsing(2, forked):
+        with parsing(12, forked):
             assert_matches_reference(t, s)
 
     @FORKED
@@ -714,7 +832,7 @@ class TestParseTrialsKeys:
         scores = "".join(f"{e} {t} {k / 8}\n" for k, (e, t) in enumerate(reversed(pairs)))
         trials = "".join(f"{k % 2} {e} {t}\n" for k, (e, t) in enumerate(pairs)) + extra_trial
         t, s = write_pair(tmp_path, trials, scores)
-        with parsing(2, forked):
+        with parsing(12, forked):
             assert_matches_reference(t, s)
 
     def test_received_columns_have_builtin_dtypes(self, tmp_path, monkeypatch):
@@ -728,7 +846,7 @@ class TestParseTrialsKeys:
             lambda *args: received.append(receive(*args)) or received[-1],
         )
         t, s = write_pair(tmp_path, "1 a x\n0 b y\n", SCORES_ABCD)
-        with parsing(2, forked=True):
+        with parsing(12, forked=True):
             parse_trials(t, s)
         (columns,) = received
         for name in ("hashes", "lengths", "slots", "lines", "values"):
@@ -767,7 +885,7 @@ class TestParseTrialsKeys:
         monkeypatch.setattr(verif_metrics, "_key_columns", failing_read)
         t, s = write_pair(tmp_path, "1 a x\n0 b y\n", scores)
         start = time.monotonic()
-        with parsing(2, forked=True), pytest.raises(raised, match=f"^{message}"):
+        with parsing(12, forked=True), pytest.raises(raised, match=f"^{message}"):
             parse_trials(t, s)
         assert time.monotonic() - start < 30
 
