@@ -18,8 +18,6 @@ from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
 from chebymargin.losses import LossKind, LossSpec, default_margin
 
-SWEEP_SCALES = (1.0, 30.0, 32.0, 64.0)
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -31,7 +29,8 @@ def main():
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
     # Every spec is built, and so checked, before the first directory or
-    # file is made; a curve degree is checked as a ChebyAAM spec's.
+    # file is made; a curve degree is checked as a ChebyAAM spec's.  The
+    # gap sweep's specs differ from these only in their fixed scales.
     try:
         degrees = _comma_list("--degrees", args.degrees, int, "degree")
         for degree in degrees:
@@ -40,14 +39,6 @@ def main():
             LossSpec(LossKind.N_SOFTMAX, scale=args.scale),
             LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=args.scale),
             LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=max(degrees)),
-        ]
-        sweep = [
-            (scale, spec)
-            for scale in SWEEP_SCALES
-            for spec in (
-                LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=scale),
-                LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=scale, degree=max(degrees)),
-            )
         ]
     except ValueError as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
@@ -63,9 +54,15 @@ def main():
 
     sweep_path = os.path.join(args.outdir, "gap_sweep.csv")
     lines = ["scale,loss,grad_A,grad_B,ratio"]
-    for scale, spec in sweep:
-        gap = derivative_gap(spec)
-        lines.append(f"{scale:g},{spec.kind.value},{gap.grad_a!r},{gap.grad_b!r},{gap.ratio!r}")
+    for scale in (1.0, 30.0, 32.0, 64.0):
+        for spec in (
+            LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=scale),
+            LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=scale, degree=max(degrees)),
+        ):
+            gap = derivative_gap(spec)
+            lines.append(
+                f"{scale:g},{spec.kind.value},{gap.grad_a!r},{gap.grad_b!r},{gap.ratio!r}"
+            )
     write_lines_atomic(sweep_path, lines)
     print(f"wrote {sweep_path}")
 
