@@ -16,22 +16,25 @@ import sys
 from chebymargin.cli import _comma_list
 from chebymargin.fileio import write_lines_atomic
 from chebymargin.landscape import derivative_gap, export_curves, export_surfaces
-from chebymargin.losses import LossKind, LossSpec, default_margin
+from chebymargin.losses import LossKind, LossSpec
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--margin", type=float, default=default_margin(LossKind.CHEBY_AAM))
+    parser.add_argument("--margin", type=float, default=LossSpec.margin)
     parser.add_argument("--degrees", default="2,30")
     parser.add_argument("--scale", type=float, default=LossSpec.scale)
     parser.add_argument("--grid", type=int, default=2001)
     parser.add_argument("--surface-grid", type=int, default=201)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
-    # Every spec is built, and so checked, before the first directory or
-    # file is made; a curve degree is checked as a ChebyAAM spec's.  The
-    # gap sweep's specs differ from these only in their fixed scales.
+    # Every grid and spec is checked before the first directory or file
+    # is made; a curve degree is checked as a ChebyAAM spec's.  The gap
+    # sweep's specs differ from these only in their fixed scales.
     try:
+        for flag, grid in (("--grid", args.grid), ("--surface-grid", args.surface_grid)):
+            if grid < 2:
+                raise ValueError(f"{flag} needs at least 2 grid points, got {grid}")
         degrees = _comma_list("--degrees", args.degrees, int, "degree")
         for degree in degrees:
             LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=degree)

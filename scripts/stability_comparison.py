@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from chebymargin.cli import _comma_list
 from chebymargin.losses import LossKind, LossSpec
 from chebymargin.toytrain import STABILITY_SCALE, TrainConfig, train
 
@@ -23,27 +24,31 @@ def main():
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
-    margins = [float(m) for m in args.margins.split(",") if m]
-    if not margins:
-        sys.exit(f"{parser.prog}: error: --margins needs at least one margin, got {args.margins!r}")
+    # Every run's config is built, and so checked, before the first
+    # directory or file is made.
+    try:
+        runs = []
+        for margin in _comma_list("--margins", args.margins, float, "margin"):
+            for kind in LossKind:
+                # N-Softmax runs without a margin.
+                loss_margin = 0.0 if kind is LossKind.N_SOFTMAX else margin
+                spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
+                runs.append((margin, TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)))
+    except ValueError as exc:
+        sys.exit(f"{parser.prog}: error: {exc}")
     os.makedirs(args.outdir, exist_ok=True)
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
-    for margin in margins:
-        for kind in LossKind:
-            # N-Softmax runs without a margin; A-Softmax, whose margin is an
-            # integer multiplier, at its default.
-            loss_margin = {LossKind.N_SOFTMAX: 0.0, LossKind.A_SOFTMAX: None}.get(kind, margin)
-            spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
-            config = TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)
-            telemetry = train(config)
-            tag = f"{kind.value}_m{spec.margin:g}"
-            telemetry.write_csv(os.path.join(args.outdir, f"telemetry_{tag}.csv"))
-            telemetry.write_summary(os.path.join(args.outdir, f"telemetry_{tag}.summary"))
-            print(
-                f"{margin:6g} {kind.value:>10} {telemetry.final_accuracy:9.4f} "
-                f"{telemetry.grad_norm_max:9.2f} {str(telemetry.nan_seen).lower():>5}"
-            )
+    for margin, config in runs:
+        telemetry = train(config)
+        spec = config.loss
+        tag = f"{spec.kind.value}_m{spec.margin:g}"
+        telemetry.write_csv(os.path.join(args.outdir, f"telemetry_{tag}.csv"))
+        telemetry.write_summary(os.path.join(args.outdir, f"telemetry_{tag}.summary"))
+        print(
+            f"{margin:6g} {spec.kind.value:>10} {telemetry.final_accuracy:9.4f} "
+            f"{telemetry.grad_norm_max:9.2f} {str(telemetry.nan_seen).lower():>5}"
+        )
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import cheby_core, landscape, verif_metrics
-from .losses import CosineBatch, LossKind, LossSpec, default_margin, loss_grad_check
+from .losses import CosineBatch, LossKind, LossSpec, loss_grad_check
 from .toytrain import TrainConfig, train
 
 SEED_ENV = "CHEBYMARGIN_SEED"
@@ -57,16 +57,6 @@ def _loss_kinds(args) -> list:
 
 def _loss_spec(args) -> LossSpec:
     return LossSpec(LossKind(args.loss), margin=args.margin, scale=args.scale, degree=args.degree)
-
-
-def _default_margin(args):
-    """``--margin`` left out: each loss's own default, comma-listed in
-    ``--losses`` order for landscape surfaces; curves plot ChebyAAM's."""
-    if "loss" in args:
-        return default_margin(LossKind(args.loss))
-    if args.kind == "curves":
-        return default_margin(LossKind.CHEBY_AAM)
-    return ",".join(str(default_margin(kind)) for kind in _loss_kinds(args))
 
 
 def _print_resolved(args) -> None:
@@ -176,13 +166,9 @@ def _cmd_landscape(args) -> int:
         degrees = _comma_list("--degrees", args.degrees, int, "degree")
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:
-        kinds = _loss_kinds(args)
-        margins = [float(margin) for margin in str(args.margin).split(",") if margin]
-        if len(margins) == 1:  # a given --margin serves every loss
-            margins *= len(kinds)
         specs = [
-            LossSpec(kind, margin=margin, scale=args.scale, degree=args.degree)
-            for kind, margin in zip(kinds, margins)
+            LossSpec(kind, margin=args.margin, scale=args.scale, degree=args.degree)
+            for kind in _loss_kinds(args)
         ]
         landscape.export_surfaces(specs, args.grid, args.out)
     print(f"wrote {args.out}")
@@ -223,20 +209,16 @@ def _cmd_score(args) -> int:
 
 
 def _add_margin_flag(sub):
-    # No argparse default: ``main`` fills in the one that fits the loss.
     sub.add_argument(
         "--margin",
         type=float,
-        default=argparse.SUPPRESS,
-        help=f"margin (default: {default_margin(LossKind.A_SOFTMAX):g} for asoftmax, "
-        f"an integer multiplier; {default_margin(LossKind.CHEBY_AAM)} otherwise)",
+        default=LossSpec.margin,
+        help="margin in radians; a cosine offset for amsoftmax",
     )
 
 
 def _add_series_flags(sub):
-    sub.add_argument(
-        "--margin", type=float, default=default_margin(LossKind.CHEBY_AAM), help="margin in radians"
-    )
+    _add_margin_flag(sub)
     sub.add_argument("--degree", type=int, default=LossSpec.degree, help="series degree")
 
 
@@ -334,8 +316,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "margin" not in args and args.subcommand in ("gradcheck", "landscape", "train"):
-            args.margin = _default_margin(args)
         _print_resolved(args)
         return args.func(args)
     except (ValueError, OSError) as exc:

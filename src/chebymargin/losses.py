@@ -1,9 +1,9 @@
 """Margin-based softmax losses over cosine-similarity logits.
 
-Implements the classical family (normalized softmax, multiplicative angular
-margin, additive cosine margin, additive angular margin) plus the
-Chebyshev-series variant of the additive angular margin, all with analytic
-gradients with respect to the input cosines.
+Implements the classical family (normalized softmax, additive cosine
+margin, additive angular margin) plus the Chebyshev-series variant of the
+additive angular margin, all with analytic gradients with respect to the
+input cosines.
 
 Every loss is standard softmax cross entropy over scaled logits where only
 the target-class logit is passed through the margin transform; non-target
@@ -29,27 +29,18 @@ class LossKind(enum.Enum):
     """The supported target-logit transforms."""
 
     N_SOFTMAX = "nsoftmax"
-    A_SOFTMAX = "asoftmax"
     AM_SOFTMAX = "amsoftmax"
     AAM_SOFTMAX = "aamsoftmax"
     CHEBY_AAM = "chebyaam"
-
-
-def default_margin(kind: LossKind) -> float:
-    """The margin a loss runs at unless one is given: 2 for A_SOFTMAX, an
-    integer angle multiplier (SphereFace, arXiv:1704.08063); 0.3 otherwise,
-    radians for the angular kinds (ArcFace, arXiv:1801.07698)."""
-    return 2.0 if kind is LossKind.A_SOFTMAX else 0.3
 
 
 @dataclass(frozen=True)
 class LossSpec:
     """Configuration of one margin loss.
 
-    ``margin`` is radians for the angular kinds, a cosine offset for
-    AM_SOFTMAX, and a positive integer multiplier for A_SOFTMAX; left out,
-    it is ``default_margin(kind)``.  ``degree`` is only consulted for
-    CHEBY_AAM.
+    ``margin`` is radians for the angular kinds and a cosine offset for
+    AM_SOFTMAX; its default 0.3 is ArcFace's (arXiv:1801.07698).
+    ``degree`` is only consulted for CHEBY_AAM.
 
     AAM_SOFTMAX and CHEBY_AAM are not monotone in the target cosine: for
     ``x < -cos(margin)`` the angle ``theta + margin`` passes ``pi``.  As ``x``
@@ -61,13 +52,11 @@ class LossSpec:
     """
 
     kind: LossKind
-    margin: float | None = None
+    margin: float = 0.3
     scale: float = 32.0
     degree: int = 30
 
     def __post_init__(self):
-        if self.margin is None:
-            object.__setattr__(self, "margin", default_margin(self.kind))
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         angular = self.kind in (LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM)
@@ -77,12 +66,6 @@ class LossSpec:
         # can never beat a non-target one.
         if self.kind is LossKind.AM_SOFTMAX and not self.margin < 2:
             raise ValueError(f"AM-Softmax margin must be below 2, got {self.margin}")
-        if self.kind is LossKind.A_SOFTMAX:
-            # The range check comes first: int() fails on NaN and infinity.
-            if not (1 <= self.margin < math.inf and self.margin == int(self.margin)):
-                raise ValueError(
-                    f"A-Softmax margin must be a positive integer, got {self.margin}"
-                )
         # Last, so that a kind with its own range names it first.
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
@@ -151,18 +134,6 @@ class GradCheckReport:
         return bool(self.large_grad_entries)
 
 
-def _a_softmax_transform(x: np.ndarray, m: int):
-    # cos(m*theta) continued monotonically: (-1)^k cos(m theta) - 2k on the
-    # interval where m*theta is in [k pi, (k+1) pi].
-    clamped = cheby_core._edge_clamp(x)
-    theta = np.arccos(clamped)
-    k = np.floor(m * theta / math.pi)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    value = sign * np.cos(m * theta) - 2.0 * k
-    grad = sign * m * np.sin(m * theta) / np.sqrt(1.0 - clamped * clamped)
-    return value, grad
-
-
 def _target_transform(spec: LossSpec, n: int):
     """The target-logit transform of ``spec`` for ``n`` cosines: a callable
     from a float array of them, ``|x| <= 1`` already checked by the caller,
@@ -171,8 +142,6 @@ def _target_transform(spec: LossSpec, n: int):
         return lambda x: (x, np.ones_like(x))
     if spec.kind is LossKind.AM_SOFTMAX:
         return lambda x: (x - spec.margin, np.ones_like(x))
-    if spec.kind is LossKind.A_SOFTMAX:
-        return functools.partial(_a_softmax_transform, m=int(spec.margin))
     if spec.kind is LossKind.AAM_SOFTMAX:
         margin = spec.margin
         return lambda x: (cheby_core._psi(x, margin), cheby_core._psi_grad(x, margin))

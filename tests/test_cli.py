@@ -78,30 +78,13 @@ class TestGradcheck:
         assert code == 2
         assert "gradcheck FAIL" in out
 
-    @pytest.mark.parametrize(
-        "loss, margin",
-        [
-            ("nsoftmax", "0.3"),
-            ("asoftmax", "2.0"),
-            ("amsoftmax", "0.3"),
-            ("aamsoftmax", "0.3"),
-            ("chebyaam", "0.3"),
-        ],
-    )
-    def test_every_loss_passes_at_its_default_margin(self, capsys, loss, margin):
-        """A-Softmax's margin is an integer multiplier, so its default is 2;
-        the configuration line shows the margin used."""
+    @pytest.mark.parametrize("loss", [kind.value for kind in LossKind])
+    def test_every_loss_passes_at_the_default_margin(self, capsys, loss):
+        """The configuration line shows the margin used."""
         code, out, err = run_cli(capsys, "gradcheck", "--loss", loss)
         assert code == 0
         assert "gradcheck PASS" in out
-        assert f" margin={margin} " in err
-
-    @pytest.mark.parametrize("margin", ["0.3", "inf"])
-    def test_non_integer_asoftmax_margin_rejected(self, capsys, margin):
-        code, out, err = run_cli(capsys, "gradcheck", "--loss", "asoftmax", "--margin", margin)
-        assert code == 1
-        assert out == ""
-        assert err.endswith(f"A-Softmax margin must be a positive integer, got {float(margin)}\n")
+        assert " margin=0.3 " in err
 
     def test_step_too_small_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-20")
@@ -284,41 +267,33 @@ class TestLandscapeCommand:
         assert lines[0] == "loss,s_p,s_n,dL_dsp"
         assert len(lines) == 1 + 3 * 11 * 11
 
-    @pytest.mark.parametrize(
-        "losses, shown", [("nsoftmax,asoftmax,chebyaam", "0.3,2.0,0.3"), ("asoftmax", "2.0")]
-    )
-    def test_surfaces_take_each_loss_default_margin(self, capsys, tmp_path, losses, shown):
-        """Without --margin, asoftmax runs at its integer multiplier 2 and
-        the other losses at 0.3; the config line lists one per loss."""
+    @pytest.mark.parametrize("losses", ["nsoftmax,amsoftmax,chebyaam", "aamsoftmax"])
+    def test_surfaces_run_every_loss_at_the_default_margin(self, capsys, tmp_path, losses):
+        """Without --margin every listed loss runs at 0.3, and the config
+        line shows that one margin."""
         out_path = tmp_path / "surf.csv"
         code, _, err = run_cli(
             capsys, "landscape", "--kind", "surfaces", "--grid", "11",
             "--losses", losses, "--out", str(out_path),
         )
         assert code == 0
-        assert f" margin={shown} " in err
+        assert " margin=0.3 " in err
         rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
         assert len(rows) == len(losses.split(",")) * 11 * 11
-        _, expected = binary_derivative_surface(LossSpec(LossKind.A_SOFTMAX, margin=2), 11)
-        assert [float(row[3]) for row in rows if row[0] == "asoftmax"] == expected.ravel().tolist()
+        for loss in losses.split(","):
+            _, expected = binary_derivative_surface(LossSpec(LossKind(loss), margin=0.3), 11)
+            assert [float(row[3]) for row in rows if row[0] == loss] == expected.ravel().tolist()
 
-    @pytest.mark.parametrize(
-        "margin, named",
-        [
-            ("2", "angular margin must be in [0, pi/2), got 2.0"),
-            ("0.3", "A-Softmax margin must be a positive integer, got 0.3"),
-        ],
-    )
-    def test_given_margin_serves_every_loss(self, capsys, tmp_path, margin, named):
-        """No one margin fits A-Softmax and an angular loss together."""
+    def test_given_margin_serves_every_loss(self, capsys, tmp_path):
+        """A margin that one listed loss refuses stops the whole export."""
         code, out, err = run_cli(
             capsys, "landscape", "--kind", "surfaces", "--grid", "5",
-            "--losses", "asoftmax,chebyaam", "--margin", margin,
+            "--losses", "nsoftmax,chebyaam", "--margin", "2",
             "--out", str(tmp_path / "surf.csv"),
         )
         assert code == 1
-        assert named in err
-        assert f" margin={float(margin)} " in err
+        assert "angular margin must be in [0, pi/2), got 2.0" in err
+        assert " margin=2.0 " in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -343,15 +318,6 @@ class TestTrainCommand:
         assert out_path.exists()
         assert (tmp_path / "telemetry.csv.summary").exists()
         assert "nan_seen=false" in out
-
-    def test_asoftmax_trains_at_the_default_margin(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "train", "--loss", "asoftmax", "--epochs", "1",
-            "--out", str(tmp_path / "t.csv"),
-        )
-        assert code == 0
-        assert "steps=50\n" in out
-        assert " margin=2.0 " in err
 
 
 class TestRejectedSettings:
@@ -418,6 +384,7 @@ class TestRejectedSettings:
                 ["--kind", "surfaces", "--losses", ",", "--margin", "0.3"],
                 "--losses needs at least one loss kind, got ','",
             ),
+            (["--kind", "surfaces", "--losses", "asoftmax"], "--losses: bad loss kind 'asoftmax'"),
         ],
     )
     def test_landscape_rejects_a_bad_list(self, capsys, tmp_path, argv, named):
@@ -567,12 +534,14 @@ class TestCliContract:
             ("gradcheck", "-1", 1, "", "gradcheck: error: seed must be >= 0, got -1\n"),
             ("gradcheck --loss nsoftmax", "123", 0, "...gradcheck PASS\n", " seed=123 "),
             ("gradcheck --tol 0", None, 2, "...gradcheck FAIL (tol 0.0)\n", ""),
+            ("gradcheck --loss asoftmax", None, 1, "",
+             "argument --loss: invalid choice: 'asoftmax'"),
             ("score --trials T --scores S", None, 1, "",
              "/t.txt:2: cannot decode byte 0xff as UTF-8\n"),
         ],
         ids=["bad-env-seed-ignored", "bad-env-seed-refused", "seed-flag-wins",
              "negative-env-seed-refused", "env-seed-default",
-             "check-failure-exits-two", "non-utf8-trial-file"],
+             "check-failure-exits-two", "removed-loss-refused", "non-utf8-trial-file"],
     )
     def test_module_run_in_a_fresh_process(self, tmp_path, argv, seed, code, out, err_part):
         """``python -m chebymargin.cli``: the exit status goes through

@@ -29,7 +29,6 @@ from chebymargin.losses import (
 
 ALL_SPECS = [
     LossSpec(LossKind.N_SOFTMAX, margin=0.0),
-    LossSpec(LossKind.A_SOFTMAX, margin=2),
     LossSpec(LossKind.AM_SOFTMAX, margin=0.2),
     LossSpec(LossKind.AAM_SOFTMAX, margin=0.3),
     LossSpec(LossKind.CHEBY_AAM, margin=0.3, degree=30),
@@ -65,11 +64,6 @@ class TestLossSpec:
         with pytest.raises(ValueError, match=message):
             LossSpec(LossKind.AAM_SOFTMAX, margin=-0.1)
 
-    def test_a_softmax_needs_integer_margin(self):
-        with pytest.raises(ValueError):
-            LossSpec(LossKind.A_SOFTMAX, margin=1.5)
-        LossSpec(LossKind.A_SOFTMAX, margin=3)
-
     def test_cheby_needs_degree(self):
         with pytest.raises(ValueError):
             LossSpec(LossKind.CHEBY_AAM, degree=0)
@@ -93,11 +87,9 @@ class TestLossSpec:
     @pytest.mark.parametrize("margin", [math.inf, math.nan])
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
     def test_rejects_non_finite_margin(self, kind, margin):
-        """Every kind refuses a NaN or infinite margin with a ValueError
-        naming it; A-Softmax's integer check must not reach int() first."""
+        """Every kind refuses a NaN or infinite margin with a ValueError naming it."""
         message = {
             LossKind.N_SOFTMAX: "margin must be non-negative and finite",
-            LossKind.A_SOFTMAX: "A-Softmax margin must be a positive integer",
             LossKind.AM_SOFTMAX: "AM-Softmax margin must be below 2",
         }.get(kind, r"angular margin must be in \[0, pi/2\)")
         with pytest.raises(ValueError, match=rf"^{message}, got {margin}$"):
@@ -201,52 +193,6 @@ class TestTransform:
         x = np.linspace(-1, 1, 11)
         np.testing.assert_array_equal(transform_target_logit(spec, x), x)
 
-    def test_a_softmax_multiplies_angle(self):
-        """A-Softmax with m=2 equals the monotone continuation of
-        cos(2 theta); at theta <= pi/2 that is plain cos(2 theta)."""
-        spec = LossSpec(LossKind.A_SOFTMAX, margin=2)
-        x = 0.8
-        assert transform_target_logit(spec, x) == pytest.approx(
-            math.cos(2 * math.acos(x)), abs=1e-9
-        )
-        # beyond theta = pi/2 the continuation branch takes over
-        assert transform_target_logit(spec, -0.5) == pytest.approx(
-            -math.cos(2 * math.acos(-0.5)) - 2.0, abs=1e-9
-        )
-
-    def test_a_softmax_monotone_decreasing_in_angle(self):
-        spec = LossSpec(LossKind.A_SOFTMAX, margin=2)
-        x = np.linspace(-1, 1, 501)
-        values = transform_target_logit(spec, x)
-        assert np.all(np.diff(values) > 0)
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_a_softmax_continuous_across_branch_seams(self, m):
-        """The piecewise continuation is C0 and C1 at every seam
-        m*arccos(x) = k*pi: values agree across the seam and the slope
-        tends to zero there (sin(m theta) -> 0)."""
-        spec = LossSpec(LossKind.A_SOFTMAX, margin=m)
-        eps = 1e-9
-        for k in range(1, m):
-            seam = math.cos(k * math.pi / m)
-            below = transform_target_logit(spec, seam - eps)
-            above = transform_target_logit(spec, seam + eps)
-            assert below == pytest.approx(above, abs=1e-6)
-            fd = (above - below) / (2 * eps)
-            local_scale = m * m  # slope magnitude away from the seam
-            assert abs(fd) < local_scale
-
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
-    def test_a_softmax_evaluated_where_it_is_near_the_edge(self, m, x):
-        """The edge clamp moves only points exactly on |x| = 1, so a cosine
-        within COS_EDGE_EPS of the edge keeps its own value."""
-        spec = LossSpec(LossKind.A_SOFTMAX, margin=m)
-        theta = math.acos(x)
-        k = math.floor(m * theta / math.pi)
-        expected = (-1) ** k * math.cos(m * theta) - 2 * k
-        assert transform_target_logit(spec, x) == pytest.approx(expected, rel=0, abs=1e-12)
-
     @given(x=st.floats(min_value=-0.98, max_value=0.999))
     @settings(max_examples=100)
     def test_margins_penalize_target(self, x):
@@ -280,9 +226,8 @@ class TestTransform:
     )
     def test_out_of_domain_message_names_first_value(self, kind, x, named):
         """Every kind checks the cosine domain at one place, naming the value."""
-        margin = 2 if kind is LossKind.A_SOFTMAX else 0.3
         with pytest.raises(ValueError, match=rf"x must lie in \[-1, 1\], got {named}$"):
-            transform_target_logit(LossSpec(kind, margin=margin), x)
+            transform_target_logit(LossSpec(kind), x)
 
 
 class TestLossForward:
@@ -509,14 +454,6 @@ class TestGradCheck:
         batch = CosineBatch(np.array([[1.0, 0.2, -1.0]]), np.array([label]))
         assert loss_grad_check(spec, batch).max_rel_error < 1.3e-6
         assert loss_grad_check(spec, batch, step=1e-7).max_rel_error < 1e-6
-
-    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
-    def test_a_softmax_exact_within_the_edge_eps(self, x):
-        """A step of 1e-8 around x = +-(1 - 5e-8) stays inside the edge
-        clamp's 1e-7; both perturbed cosines are evaluated where they are."""
-        spec = LossSpec(LossKind.A_SOFTMAX, margin=2, scale=4.0)
-        batch = CosineBatch(np.array([[x, 0.9, -0.2]]), np.array([0]))
-        assert loss_grad_check(spec, batch, step=1e-8).max_rel_error <= 1e-5
 
     def test_step_too_small_to_move_a_cosine_fails(self):
         """A step below the spacing of floats leaves x unmoved, so the

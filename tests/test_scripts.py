@@ -59,10 +59,11 @@ def test_stability_comparison(tmp_path):
         [margin, kind.value] for margin in ("0.3", "0.5") for kind in LossKind
     ]
     angular = ("amsoftmax", "aamsoftmax", "chebyaam")
-    tags = ["nsoftmax_m0", "asoftmax_m2"] + [f"{k}_m{m}" for m in (0.3, 0.5) for k in angular]
-    for tag in tags:
-        for ext in ("csv", "summary"):
-            assert (tmp_path / f"telemetry_{tag}.{ext}").stat().st_size > 0, f"{tag}.{ext}"
+    tags = ["nsoftmax_m0"] + [f"{k}_m{m}" for m in (0.3, 0.5) for k in angular]
+    names = [f"telemetry_{tag}.{ext}" for tag in tags for ext in ("csv", "summary")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 @pytest.mark.parametrize(
@@ -82,6 +83,24 @@ def test_stability_comparison(tmp_path):
             "export_figure_data.py", ["--margin", "2"],
             "angular margin must be in [0, pi/2), got 2.0",
         ),
+        (
+            "export_figure_data.py", ["--grid", "1"],
+            "--grid needs at least 2 grid points, got 1",
+        ),
+        (
+            "export_figure_data.py", ["--surface-grid", "1"],
+            "--surface-grid needs at least 2 grid points, got 1",
+        ),
+        (
+            "stability_comparison.py", ["--degree", "0", "--epochs", "1"],
+            "series degree must be >= 1, got 0",
+        ),
+        (
+            "stability_comparison.py", ["--margins", "2"],
+            "AM-Softmax margin must be below 2, got 2.0",
+        ),
+        ("stability_comparison.py", ["--margins", "x"], "--margins: bad margin 'x'"),
+        ("stability_comparison.py", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
     ],
 )
 def test_bad_input_is_refused_before_any_write(tmp_path, name, argv, message):

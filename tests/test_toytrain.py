@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebymargin.cheby_core import coefficients, lipschitz_constant
-from chebymargin.losses import CosineBatch, LossKind, LossSpec, default_margin, loss_forward
+from chebymargin.losses import CosineBatch, LossKind, LossSpec, loss_forward
 from chebymargin.toytrain import (
     STABILITY_SCALE,
     WARMUP_FRACTION,
@@ -230,7 +230,6 @@ class TestTrain:
         "kind,margin",
         [
             (LossKind.N_SOFTMAX, 0.0),
-            (LossKind.A_SOFTMAX, 2),
             (LossKind.AM_SOFTMAX, 0.2),
             (LossKind.AAM_SOFTMAX, 0.3),
             (LossKind.CHEBY_AAM, 0.3),
@@ -370,7 +369,7 @@ class TestPreparedStep:
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
     def test_matches_the_public_path(self, kind):
         """220 points at batch 64 leave a short last batch of 28."""
-        spec = LossSpec(kind, margin=default_margin(kind), scale=8.0, degree=30)
+        spec = LossSpec(kind, scale=8.0, degree=30)
         config = small_config(spec, epochs=3, batch_size=64, samples_per_class=55, spread=0.5)
         assert_same_run(train(config), reference_train(config))
 
