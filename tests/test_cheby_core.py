@@ -481,3 +481,15 @@ class TestBoundedVersusExploding:
         at the clamped abscissa instead of dividing by zero."""
         assert np.isfinite(exact_psi_grad(1.0, 0.3))
         assert np.isfinite(exact_psi_hessian(-1.0, 0.3))
+
+    @pytest.mark.parametrize("margin", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
+    def test_exact_derivatives_evaluated_where_they_are_near_the_edge(self, x, margin):
+        """The clamp moves only points exactly on |x| = 1: a cosine within
+        COS_EDGE_EPS of the edge keeps its own slope sin(theta + m) / sin(theta)
+        and curvature sin(m) / sin(theta)^3, not those at 1 - COS_EDGE_EPS."""
+        theta = math.acos(x)
+        slope = math.sin(theta + margin) / math.sin(theta)
+        curvature = math.sin(margin) / math.sin(theta) ** 3
+        assert exact_psi_grad(x, margin) == pytest.approx(slope, rel=1e-7)
+        assert exact_psi_hessian(x, margin) == pytest.approx(curvature, rel=1e-7)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chebymargin import verif_metrics
-from chebymargin.cli import SEED_ENV, main
+from chebymargin.cli import SEED_ENV, build_parser, main
 from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
 
 
@@ -320,6 +320,14 @@ class TestTrainCommand:
         assert "nan_seen=false" in out
 
 
+    def test_removed_loss_kind_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "train", "--loss", "asoftmax", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert "argument --loss: invalid choice: 'asoftmax'" in err
+        assert not out_path.exists()
+
+
 class TestRejectedSettings:
     @pytest.mark.parametrize(
         "flag, value",
@@ -409,6 +417,15 @@ class TestCliContract:
         assert "--config" in out
         if sub not in ("score", "landscape", "train"):
             assert "default" in out
+
+    @pytest.mark.parametrize(
+        "sub", ["coeffs", "eval-psi", "gradcheck", "lipschitz", "landscape", "train"]
+    )
+    def test_every_margin_flag_defaults_to_the_spec_margin(self, sub):
+        """One owner for the margin default: each --margin reads LossSpec's."""
+        parser, _ = build_parser()
+        args = parser.parse_args([sub, "--out", "OUT"] if sub in ("landscape", "train") else [sub])
+        assert args.margin == LossSpec.margin == 0.3
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--bogus", "1")

@@ -95,6 +95,15 @@ class TestLossSpec:
         with pytest.raises(ValueError, match=rf"^{message}, got {margin}$"):
             LossSpec(kind, margin=margin)
 
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_every_kind_defaults_to_one_margin(self, kind):
+        """One margin default for every kind: ArcFace's 0.3, which each accepts."""
+        assert LossSpec(kind) == LossSpec(kind, margin=0.3)
+
+    def test_a_softmax_is_no_loss_kind(self):
+        with pytest.raises(ValueError, match="'asoftmax' is not a valid LossKind"):
+            LossKind("asoftmax")
+
 
 class TestSpecSeries:
     def test_built_once_per_spec(self):
@@ -215,6 +224,30 @@ class TestTransform:
             assert gap <= approx_error_bound(0.3, degree) + 1e-12
             gaps.append(gap)
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("margin", [0.1, 0.3, 0.5, 1.0])
+    def test_aam_falls_to_minus_one_then_rises(self, margin):
+        """As x falls from 1, cos(theta + m) falls strictly to its minimum
+        -1 at x = -cos(m), then rises strictly to -cos(m) at x = -1."""
+        spec = LossSpec(LossKind.AAM_SOFTMAX, margin=margin)
+        turn = -math.cos(margin)
+        below = transform_target_logit(spec, np.linspace(-1, turn, 501))
+        above = transform_target_logit(spec, np.linspace(turn, 1, 501))
+        assert np.all(np.diff(below) < 0)
+        assert np.all(np.diff(above) > 0)
+        assert below[-1] == pytest.approx(-1.0, abs=1e-15)
+        assert below[0] == pytest.approx(turn, abs=1e-15)
+
+    @pytest.mark.parametrize("margin", [0.1, 0.3, 0.5, 1.0])
+    def test_cheby_inherits_the_turn(self, margin):
+        """The series follows the exact transform down to -1 and back up
+        towards -cos(m), each value within the truncation bound."""
+        spec = LossSpec(LossKind.CHEBY_AAM, margin=margin, degree=30)
+        bound = approx_error_bound(margin, 30)
+        values = transform_target_logit(spec, np.linspace(-1, 1, 20001))
+        assert values.min() == pytest.approx(-1.0, abs=bound)
+        assert values[0] == pytest.approx(-math.cos(margin), abs=bound)
+        assert values[0] - values.min() >= 1 - math.cos(margin) - 2 * bound
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
@@ -454,6 +487,16 @@ class TestGradCheck:
         batch = CosineBatch(np.array([[1.0, 0.2, -1.0]]), np.array([label]))
         assert loss_grad_check(spec, batch).max_rel_error < 1.3e-6
         assert loss_grad_check(spec, batch, step=1e-7).max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("kind", [LossKind.AAM_SOFTMAX, LossKind.CHEBY_AAM])
+    @pytest.mark.parametrize("x", [1 - 5e-8, -(1 - 5e-8)])
+    def test_angular_kinds_exact_within_the_edge_eps(self, kind, x):
+        """A step of 1e-10 around x = +-(1 - 5e-8) stays inside the edge
+        clamp's 1e-7; both perturbed cosines are evaluated where they are,
+        so AAM's analytic slope, near 1e3 there, must be too."""
+        spec = LossSpec(kind, scale=4.0)
+        batch = CosineBatch(np.array([[x, 0.9, -0.2]]), np.array([0]))
+        assert loss_grad_check(spec, batch, step=1e-10).max_rel_error <= 1e-5
 
     def test_step_too_small_to_move_a_cosine_fails(self):
         """A step below the spacing of floats leaves x unmoved, so the
