@@ -36,8 +36,11 @@ def main():
             if grid < 2:
                 raise ValueError(f"{flag} needs at least 2 grid points, got {grid}")
         degrees = _comma_list("--degrees", args.degrees, int, "degree")
-        for degree in degrees:
+        for k, degree in enumerate(degrees):
             LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=degree)
+            # ``export_curves`` refuses this too, but only after makedirs.
+            if degree in degrees[:k]:
+                raise ValueError(f"duplicate degree {degree} in curve export")
         specs = [
             LossSpec(LossKind.N_SOFTMAX, scale=args.scale),
             LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=args.scale),

@@ -3,7 +3,9 @@
 
 For each margin, trains the toy cosine classifier with each loss kind on
 the same seeded dataset and prints final accuracy, the gradient-norm peak,
-and whether anything went non-finite.  Telemetry CSVs land in --outdir.
+and whether anything went non-finite.  N-Softmax has no margin, so it is
+trained once; so is any other config listed twice.  Telemetry CSVs land
+in --outdir.
 """
 
 import argparse
@@ -25,28 +27,29 @@ def main():
     parser.add_argument("--outdir", default="out")
     args = parser.parse_args()
     # Every run's config is built, and so checked, before the first
-    # directory or file is made.
+    # directory or file is made.  A dict keeps each distinct config once,
+    # in the order first built.
     try:
-        runs = []
+        configs = {}
         for margin in _comma_list("--margins", args.margins, float, "margin"):
             for kind in LossKind:
                 # N-Softmax runs without a margin.
                 loss_margin = 0.0 if kind is LossKind.N_SOFTMAX else margin
                 spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
-                runs.append((margin, TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)))
+                configs[TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)] = None
     except ValueError as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
     os.makedirs(args.outdir, exist_ok=True)
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
-    for margin, config in runs:
+    for config in configs:
         telemetry = train(config)
         spec = config.loss
         tag = f"{spec.kind.value}_m{spec.margin:g}"
         telemetry.write_csv(os.path.join(args.outdir, f"telemetry_{tag}.csv"))
         telemetry.write_summary(os.path.join(args.outdir, f"telemetry_{tag}.summary"))
         print(
-            f"{margin:6g} {spec.kind.value:>10} {telemetry.final_accuracy:9.4f} "
+            f"{spec.margin:6g} {spec.kind.value:>10} {telemetry.final_accuracy:9.4f} "
             f"{telemetry.grad_norm_max:9.2f} {str(telemetry.nan_seen).lower():>5}"
         )
 

@@ -55,10 +55,11 @@ def test_stability_comparison(tmp_path):
     )
     header, *rows = out.splitlines()
     assert header.split() == ["margin", "loss", "accuracy", "grad_max", "nan"]
-    assert [row.split()[:2] for row in rows] == [
-        [margin, kind.value] for margin in ("0.3", "0.5") for kind in LossKind
-    ]
     angular = ("amsoftmax", "aamsoftmax", "chebyaam")
+    # N-Softmax has no margin: it is trained, and its row printed, once.
+    assert [row.split()[:2] for row in rows] == [["0", "nsoftmax"]] + [
+        [margin, kind] for margin in ("0.3", "0.5") for kind in angular
+    ]
     tags = ["nsoftmax_m0"] + [f"{k}_m{m}" for m in (0.3, 0.5) for k in angular]
     names = [f"telemetry_{tag}.{ext}" for tag in tags for ext in ("csv", "summary")]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
@@ -78,6 +79,10 @@ def test_stability_comparison(tmp_path):
             "--margins needs at least one margin, got ','",
         ),
         ("export_figure_data.py", ["--degrees", "2,x"], "--degrees: bad degree 'x'"),
+        (
+            "export_figure_data.py", ["--degrees", "2,30,2"],
+            "duplicate degree 2 in curve export",
+        ),
         ("export_figure_data.py", ["--degrees", "2,0"], "series degree must be >= 1, got 0"),
         (
             "export_figure_data.py", ["--margin", "2"],

@@ -110,7 +110,7 @@ def parsing(block_chars, forked=False, per_line=False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
         if per_line:
-            patch.setattr(verif_metrics, "_single_spaced", lambda text, key_at: None)
+            patch.setattr(verif_metrics, "_single_spaced", lambda *args: None)
         forks = fake_cpus(patch, 2 if forked else 1, None if forked else 0)
         if forked:
             patch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
@@ -554,6 +554,8 @@ BAD_LINE_KINDS = [
 BAD_SCORES = ["x", "1.2.3", "--1", "0x10", "1e", "0.5a"]
 NON_FINITE_SCORES = ["nan", "inf", "-Infinity", "NaN", "+inf"]
 SCORE_VALUES = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+# Tokens ``float`` reads or refuses other than its ``repr`` output does.
+ODD_SCORES = ["1_0", "+2", ".5", "5.", "1E5", "inf", "nan", "0x10", "1__0"]
 
 
 def fixed_size(strategy, n):
@@ -738,13 +740,18 @@ class TestBlockTokenizers:
     def test_mixed_blocks_give_the_per_line_columns(self):
         """Files that mix single-spaced lines with lines of every kind that
         must be split line by line, read in blocks of several sizes, give
-        the key columns of splitting every block line by line."""
+        the key columns of splitting every block line by line.  In about
+        half the files some scores are tokens such as ``1_0`` or ``0x10``:
+        ``float`` alone decides, on either path, what is a score."""
 
         @given(st.data())
         @settings(max_examples=200, deadline=None)
         def check(data):
             layout = data.draw(st.sampled_from([verif_metrics._SCORES, verif_metrics._TRIALS]))
-            rows = data.draw(st.lists(st.tuples(IDS, IDS, SCORE_VALUES), min_size=1, max_size=12))
+            values = SCORE_VALUES
+            if data.draw(st.booleans(), label="odd scores"):
+                values |= st.sampled_from(ODD_SCORES)
+            rows = data.draw(st.lists(st.tuples(IDS, IDS, values), min_size=1, max_size=12))
             lines = []
             for enroll, test, value in rows:
                 if layout is verif_metrics._SCORES:
@@ -771,6 +778,12 @@ class TestBlockTokenizers:
 
 
 FORKED = pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+# Keys of 7, 8, 9, 15, 16 and 17 bytes, and keys ending in NUL bytes whose
+# words equal those of the key without them.
+PADDED_KEYS = [
+    "abc def", "abc defg", "abcd efgh", "abcdefg hijklmn", "abcdefgh ijklmno",
+    "abcdefgh ijklmnop", "abc de", "abc de\x00", "abc de\x00\x00", "abcdefgh ijklmn\x00",
+]
 
 
 def write_pair(tmp_path, trials, scores):
@@ -786,7 +799,12 @@ class TestParseTrialsKeys:
 
     @FORKED
     @pytest.mark.parametrize(
-        "key_hash", [lambda key: 0, len], ids=["one-hash-for-all", "hash-is-length"]
+        "key_hash",
+        [
+            lambda words, length: np.zeros(len(words), np.int64),
+            lambda words, length: np.full(len(words), length, np.int64),
+        ],
+        ids=["one-hash-for-all", "hash-is-length"],
     )
     @pytest.mark.parametrize(
         "trials, scores",
@@ -808,7 +826,11 @@ class TestParseTrialsKeys:
             assert_matches_reference(t, s)
 
     @FORKED
-    @pytest.mark.parametrize("key_hash", [hash, lambda key: 0], ids=["hashed", "one-hash-for-all"])
+    @pytest.mark.parametrize(
+        "key_hash",
+        [verif_metrics._key_hash, lambda words, length: np.zeros(len(words), np.int64)],
+        ids=["hashed", "one-hash-for-all"],
+    )
     @pytest.mark.parametrize(
         "extra_trial",
         [
@@ -833,6 +855,40 @@ class TestParseTrialsKeys:
         trials = "".join(f"{k % 2} {e} {t}\n" for k, (e, t) in enumerate(pairs)) + extra_trial
         t, s = write_pair(tmp_path, trials, scores)
         with parsing(12, forked):
+            assert_matches_reference(t, s)
+
+    @FORKED
+    @pytest.mark.parametrize("block_chars", [12, verif_metrics._BLOCK_CHARS])
+    @pytest.mark.parametrize(
+        "trials, scores",
+        [
+            pytest.param(
+                "".join(f"{k % 2} {key}\n" for k, key in enumerate(PADDED_KEYS)),
+                "".join(f"{key} {k / 8}\n" for k, key in enumerate(reversed(PADDED_KEYS))),
+                id="valid",
+            ),
+            pytest.param(
+                "1 abc def\n",
+                "abc def 0.1\nabcd efgh 0.125\nabcd efgh 0.25\n",
+                id="repeated-score-key-before-other-bytes",
+            ),
+            pytest.param("1 abc def\n", "abc defg 0.5\n", id="trial-key-is-a-score-keys-start"),
+            pytest.param("1 abc de\n", "abc de\x00 0.5\n", id="trial-key-lacks-the-nul"),
+            pytest.param(
+                "1 abcdefgh ijklmnop\n",
+                "abcdefgh ijklmnop0 0.5\nabcdefgh ijklmnop 0.25\n",
+                id="score-key-at-a-longer-keys-start",
+            ),
+        ],
+    )
+    def test_keys_either_side_of_a_word_join_as_the_oracle(
+        self, tmp_path, trials, scores, block_chars, forked
+    ):
+        """Keys of 7 to 17 bytes, padded to 8-byte words: the padding is
+        zero and the length is part of the key, whatever bytes follow a key
+        in its line, here or in the child."""
+        t, s = write_pair(tmp_path, trials, scores)
+        with parsing(block_chars, forked):
             assert_matches_reference(t, s)
 
     def test_received_columns_have_builtin_dtypes(self, tmp_path, monkeypatch):
