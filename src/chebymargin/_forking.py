@@ -1,15 +1,17 @@
 """Forked children that share a process's work across the CPUs it may use.
 
-Each child runs one function with the write end of a pipe to this process
-and leaves through ``os._exit``: it must neither return to the caller nor
-flush the buffers it inherited, such as stdout's.  Nothing is pickled to
-start a child; it inherits the function and its data.
+A child runs one function, ``work()``, and sends each frame of what it
+returns over a pipe: the frame's length, 8 bytes little-endian, then its
+bytes.  It leaves through ``os._exit``: it must neither return to the
+caller nor flush the buffers it inherited, such as stdout's.  Nothing is
+pickled to start a child; it inherits the function and its data.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from functools import partial
 
 
 def usable_cpus() -> int:
@@ -21,7 +23,7 @@ class Children:
     """Context manager owning the children forked through :meth:`start`.
 
     Leaving the ``with`` block, normally or by an exception, kills and
-    reaps every child not yet reaped by :meth:`join`, so none outlives it.
+    reaps every child whose frames were not drained, so none outlives it.
     """
 
     def __init__(self):
@@ -40,13 +42,13 @@ class Children:
                 os.waitpid(pid, 0)
             self._pids.clear()
 
-    def start(self, work):
-        """Fork a child that runs ``work(pipe)``, ``pipe`` a binary file
-        writing to this process, and return the pipe's read end.
-
-        The child exits with status 0 once ``work`` returns; if it raises,
-        the child writes the traceback to stderr and exits with status 1.
-        """
+    def start(self, work, what: str):
+        """Fork a child that sends each bytes-like frame ``work()`` returns,
+        and return an iterator over the frames, each a writable ``bytearray``,
+        that closes the pipe and reaps the child once they end.  If ``work``
+        raises, the child writes the traceback to stderr and exits with
+        status 1; a non-zero exit status raises ``ChildProcessError`` naming
+        ``what``."""
         read_fd, write_fd = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -69,7 +71,9 @@ class Children:
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
-                    work(pipe)
+                    for frame in work():
+                        pipe.write(len(frame).to_bytes(8, "little"))
+                        pipe.write(frame)
                 status = 0
             except BaseException:
                 import traceback
@@ -80,10 +84,21 @@ class Children:
         os.close(write_fd)
         reader = open(read_fd, "rb")
         self._pids[reader] = pid
-        return reader
+        return self._frames(reader, what)
 
-    def join(self, reader) -> int:
-        """Close ``reader``, reap its child and return the child's exit code."""
+    def _frames(self, reader, what: str):
+        # ``yield from`` holds no frame it has passed on; the caller may free it.
+        yield from iter(partial(_next_frame, reader), None)
         reader.close()
-        status = os.waitpid(self._pids.pop(reader), 0)[1]
-        return os.waitstatus_to_exitcode(status)
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pids.pop(reader), 0)[1])
+        if status:
+            raise ChildProcessError(f"{what} failed in a child process (exit status {status})")
+
+
+def _next_frame(reader):
+    """The next frame on ``reader``; None at the pipe's end, or a frame cut short."""
+    size = reader.read(8)
+    if len(size) < 8:
+        return None
+    frame = bytearray(int.from_bytes(size, "little"))
+    return frame if reader.readinto(frame) == len(frame) else None

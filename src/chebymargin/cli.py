@@ -36,10 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _comma_list(flag: str, text: str, convert, noun: str) -> list:
-    """The entries of ``flag``'s comma list ``text``, each passed through
-    ``convert``; empty entries are skipped.  A list with no entry, or an
-    entry that ``convert`` refuses, is a ``ValueError`` naming the flag."""
-    entries = [entry for entry in text.split(",") if entry]
+    """The entries of ``flag``'s comma list ``text``, stripped and passed
+    through ``convert``; entries left empty are skipped.  A list with no
+    entry, or an entry that ``convert`` refuses, is a ``ValueError`` naming the flag."""
+    entries = [entry for entry in map(str.strip, text.split(",")) if entry]
     if not entries:
         raise ValueError(f"{flag} needs at least one {noun}, got {text!r}")
     items = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -154,41 +154,28 @@ def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
     shares = max(1, min(_forking.usable_cpus(), n_rows // LINES_PER_WRITE))
     bounds = [n_rows * k // shares for k in range(shares + 1)]
     with _forking.Children() as children:
-        readers = [
-            (children.start(partial(_send_share, format_rows, start, stop)), start, stop)
+        share_frames = [
+            children.start(
+                partial(_share_blocks, format_rows, start, stop),
+                f"formatting CSV rows {start}..{stop - 1}",
+            )
             for start, stop in zip(bounds[1:-1], bounds[2:])
         ]
         own = format_rows(0, bounds[1])
-        write_lines_atomic(out_path, chain([header], own, _relay(children, readers)))
+        # Through ``map``, no frame outlives its decoding, nor text its split.
+        texts = map(bytearray.decode, chain.from_iterable(share_frames))
+        relayed = chain.from_iterable(map(str.split, texts, repeat("\n")))
+        write_lines_atomic(out_path, chain([header], own, relayed))
 
 
-def _send_share(format_rows, start: int, stop: int, pipe) -> None:
-    """Format rows ``[start, stop)`` into memory, then send them over
-    ``pipe`` in length-prefixed blocks of ``LINES_PER_WRITE`` rows."""
+def _share_blocks(format_rows, start: int, stop: int) -> list:
+    """Rows ``[start, stop)``, formatted into memory before any is sent, as
+    encoded blocks of ``LINES_PER_WRITE`` rows."""
     rows = iter(format_rows(start, stop))
     blocks = []
     while block := list(islice(rows, LINES_PER_WRITE)):
         blocks.append("\n".join(block).encode())
-    for data in blocks:
-        pipe.write(len(data).to_bytes(8, "little"))
-        pipe.write(data)
-
-
-def _relay(children, readers):
-    """The children's rows in share order, one block in memory at a time.
-
-    Each child is reaped once its pipe is drained; a non-zero exit status
-    raises, since its share may be cut short.
-    """
-    for reader, start, stop in readers:
-        while size := reader.read(8):
-            yield from reader.read(int.from_bytes(size, "little")).decode().split("\n")
-        status = children.join(reader)
-        if status:
-            raise ChildProcessError(
-                f"formatting CSV rows {start}..{stop - 1} failed in a child "
-                f"process (exit status {status})"
-            )
+    return blocks
 
 
 def derivative_gap(spec: LossSpec) -> GapReport:
@@ -197,6 +184,10 @@ def derivative_gap(spec: LossSpec) -> GapReport:
     A hard example has nearly tied logits (A), an easy one a wide gap (B);
     a larger ratio means the loss focuses its corrective signal on hard
     examples, and ``inf`` means B's gradient underflowed to 0.
+
+    Both points have target cosine 0.8, so ``psi'(0.8)`` cancels: the ratio
+    is exactly ``(1 + e^{s(f-0.2)}) / (1 + e^{s(f-0.8)})``, ``f`` the
+    transform's value at 0.8.  The probe sees the value, not the slope.
     """
     out = loss_forward(spec, CosineBatch(np.array([POINT_A, POINT_B]), np.zeros(2, int)))
     grad_a, grad_b = np.abs(out.grad_cosines[:, 0]).tolist()

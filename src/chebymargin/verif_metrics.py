@@ -558,34 +558,24 @@ def _check_trials(trials: _KeyColumns, rows, n_scores: int, path: str) -> None:
     _raise_first(path, trials.error, missing, repeat)
 
 
-def _send_columns(trial_file: str, pipe) -> None:
-    """Send the trial file's key columns, or the exception that stopped
-    the read, over ``pipe``: length-prefixed frames of a protocol 5 pickle
-    and its out-of-band buffers, which are the arrays' own memory."""
+def _column_frames(trial_file: str) -> list:
+    """The trial file's key columns, or the exception that stopped the
+    read, as frames: a protocol 5 pickle and its out-of-band buffers, which
+    are the arrays' own memory."""
     try:
         result = _key_columns(trial_file, _TRIALS)
     except Exception as exc:
         result = exc
     buffers = []
     header = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
-    for frame in [header, *(buffer.raw() for buffer in buffers)]:
-        pipe.write(len(frame).to_bytes(8, "little"))
-        pipe.write(frame)
+    return [header, *(buffer.raw() for buffer in buffers)]
 
 
-def _receive_columns(children, reader, trial_file: str) -> _KeyColumns:
-    """The trial file's key columns as the child reading them sent them;
-    raises the exception that stopped its read."""
-    frames = []
-    while len(size := reader.read(8)) == 8:
-        frames.append(bytearray(int.from_bytes(size, "little")))
-        reader.readinto(frames[-1])
-    status = children.join(reader)
-    if status:
-        raise ChildProcessError(
-            f"reading {trial_file} failed in a child process (exit status {status})"
-        )
-    result = pickle.loads(frames[0], buffers=frames[1:])
+def _receive_columns(frames) -> _KeyColumns:
+    """The trial file's key columns from the frames of ``_column_frames``;
+    raises the exception that stopped the child's read."""
+    header, *buffers = frames
+    result = pickle.loads(header, buffers=buffers)
     if isinstance(result, Exception):
         raise result
     # An unpickled array's dtype is a copy that numpy does not take for its
@@ -639,8 +629,8 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     """
     with _forking.Children() as children:
         if _forks(trial_file):
-            reader = children.start(partial(_send_columns, trial_file))
-            read_trials = partial(_receive_columns, children, reader, trial_file)
+            frames = children.start(partial(_column_frames, trial_file), f"reading {trial_file}")
+            read_trials = partial(_receive_columns, frames)
         else:
             read_trials = partial(_key_columns, trial_file, _TRIALS)
         scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)

@@ -284,6 +284,33 @@ class TestLandscapeCommand:
             _, expected = binary_derivative_surface(LossSpec(LossKind(loss), margin=0.3), 11)
             assert [float(row[3]) for row in rows if row[0] == loss] == expected.ravel().tolist()
 
+    @pytest.mark.parametrize(
+        "spaced, plain",
+        [
+            pytest.param(["--degrees", "2, 30"], ["--degrees", "2,30"], id="degrees"),
+            pytest.param(["--degrees", " 2 ,\t30 , "], ["--degrees", "2,30"], id="degrees-tab"),
+            pytest.param(["--degrees", "2, "], ["--degrees", "2"], id="degrees-blank-entry"),
+            pytest.param(
+                ["--kind", "surfaces", "--losses", "nsoftmax, chebyaam"],
+                ["--kind", "surfaces", "--losses", "nsoftmax,chebyaam"],
+                id="losses",
+            ),
+        ],
+    )
+    def test_list_entries_are_stripped(self, capsys, tmp_path, spaced, plain):
+        """Spaces around a list entry are dropped and an entry left empty is
+        skipped, for every flag: the spaced list writes the plain one's bytes."""
+        written = []
+        for argv in (spaced, plain):
+            out_path = tmp_path / f"{len(written)}.csv"
+            code, _, _ = run_cli(
+                capsys, "landscape", "--kind", "curves", "--grid", "11", *argv,
+                "--out", str(out_path),
+            )
+            assert code == 0
+            written.append(out_path.read_bytes())
+        assert written[0] == written[1]
+
     def test_given_margin_serves_every_loss(self, capsys, tmp_path):
         """A margin that one listed loss refuses stops the whole export."""
         code, out, err = run_cli(

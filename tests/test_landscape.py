@@ -393,6 +393,25 @@ class TestDerivativeGap:
             assert 0 < aam.ratio < cheby.ratio < math.inf
 
     @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("scale", [1.0, 4.0, 32.0, 64.0])
+    def test_ratio_sees_only_the_transform_value(self, kind, scale):
+        """A and B share the target cosine 0.8, so ``psi'(0.8)`` cancels and
+        the ratio is ``(1 + e^{s(f-0.2)}) / (1 + e^{s(f-0.8)})``, with ``f``
+        the transform's value at 0.8."""
+        margin = 0.3
+        chebval = np.polynomial.chebyshev.chebval
+        for degree in (2, 10, 30, 60) if kind is LossKind.CHEBY_AAM else (30,):
+            f = {
+                LossKind.N_SOFTMAX: 0.8,
+                LossKind.AM_SOFTMAX: 0.8 - margin,
+                LossKind.AAM_SOFTMAX: math.cos(math.acos(0.8) + margin),
+                LossKind.CHEBY_AAM: float(chebval(0.8, coefficients(margin, degree).coefficients)),
+            }[kind]
+            spec = LossSpec(kind, margin=margin, scale=scale, degree=degree)
+            oracle = (1 + math.exp(scale * (f - 0.2))) / (1 + math.exp(scale * (f - 0.8)))
+            assert derivative_gap(spec).ratio == pytest.approx(oracle, rel=1e-12), degree
+
+    @pytest.mark.parametrize("kind", list(LossKind))
     def test_underflowed_easy_gradient_gives_infinite_ratio(self, kind):
         """At s = 3000 the gradient at B underflows to 0 while A's stays
         positive (A's non-target probability is at least 1/2), so the ratio
