@@ -10,15 +10,10 @@ sign.
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-
-from . import _forking
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +128,6 @@ _TRIAL_FORMAT = "'label enroll test' with label 0/1"
 _BLOCK_CHARS = 1 << 20
 # Rows whose keys ``_same_keys`` compares at a time.
 _COMPARE_ROWS = 16384
-# A trial file of at least about one read block is read in a forked child
-# while this process reads the score file; a smaller one is read faster
-# than the fork costs.
-_FORK_MIN_BYTES = 1 << 20
 # Zero bytes after a block's bytes: a key's 8-byte words end at most 7
 # bytes past it.
 _PAD = bytes(8)
@@ -558,46 +549,6 @@ def _check_trials(trials: _KeyColumns, rows, n_scores: int, path: str) -> None:
     _raise_first(path, trials.error, missing, repeat)
 
 
-def _column_frames(trial_file: str) -> list:
-    """The trial file's key columns, or the exception that stopped the
-    read, as frames: a protocol 5 pickle and its out-of-band buffers, which
-    are the arrays' own memory."""
-    try:
-        result = _key_columns(trial_file, _TRIALS)
-    except Exception as exc:
-        result = exc
-    buffers = []
-    header = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
-    return [header, *(buffer.raw() for buffer in buffers)]
-
-
-def _receive_columns(frames) -> _KeyColumns:
-    """The trial file's key columns from the frames of ``_column_frames``;
-    raises the exception that stopped the child's read."""
-    header, *buffers = frames
-    result = pickle.loads(header, buffers=buffers)
-    if isinstance(result, Exception):
-        raise result
-    # An unpickled array's dtype is a copy that numpy does not take for its
-    # builtin one, and that puts ufuncs such as ``np.minimum.at`` on a path
-    # over ten times slower; a view as the builtin dtype is not.  The key
-    # words are only gathered with ``take`` and compared, as fast either way.
-    names = ("hashes", "lengths", "slots", "lines", "values")
-    return result._replace(
-        **{name: (a := getattr(result, name)).view(np.dtype(a.dtype.str)) for name in names}
-    )
-
-
-def _forks(trial_file: str) -> bool:
-    """Whether the trial file is read in a child: with a second CPU in the
-    affinity mask and at least ``_FORK_MIN_BYTES`` to read.  A file whose
-    size cannot be read is read here, after the score file is checked."""
-    try:
-        return _forking.usable_cpus() > 1 and os.path.getsize(trial_file) >= _FORK_MIN_BYTES
-    except OSError:
-        return False
-
-
 def parse_trials(trial_file: str, scores_file: str) -> Trials:
     """Join a trial list with a score list on the (enroll, test) id pair.
 
@@ -621,22 +572,13 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     the line number and the score or label.  Both files' columns are held
     for the join, which sorts the score hashes, looks up the trial hashes
     and confirms every match on the key bytes; if two distinct keys share
-    a hash, the join is redone on exact key numbers.  When the affinity
-    mask has two or more CPUs and the trial file has at least
-    ``_FORK_MIN_BYTES``, a forked child reads it while this process reads
-    the score file; the child is reaped before this returns or raises.
-    There is no option.
+    a hash, the join is redone on exact key numbers.  Both files are read
+    in this process, the score file first.  There is no option.
     """
-    with _forking.Children() as children:
-        if _forks(trial_file):
-            frames = children.start(partial(_column_frames, trial_file), f"reading {trial_file}")
-            read_trials = partial(_receive_columns, frames)
-        else:
-            read_trials = partial(_key_columns, trial_file, _TRIALS)
-        scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)
-        if not unique:
-            scores, _ = _sorted_scores(*_exact(scores), scores_file)
-        trials = read_trials()
+    scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)
+    if not unique:
+        scores, _ = _sorted_scores(*_exact(scores), scores_file)
+    trials = _key_columns(trial_file, _TRIALS)
     rows = _score_rows(scores, trials) if unique else None
     if rows is None:
         scores, trials = _exact(scores, trials)

@@ -1,5 +1,5 @@
-"""Helpers shared by the tests of the code that forks: the landscape CSV
-writers and the trial parser."""
+"""Helpers for the tests that count forks: the landscape CSV writers fork,
+the trial parser must not."""
 
 import os
 

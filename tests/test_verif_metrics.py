@@ -4,17 +4,14 @@ import contextlib
 import math
 import os
 import re
-import signal
 import tempfile
-import time
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child, fake_cpus
+from conftest import fake_cpus
 
 from chebymargin import verif_metrics
 from chebymargin.cli import main
@@ -97,13 +94,11 @@ def assert_matches_reference(trial_file, scores_file):
 
 
 @contextlib.contextmanager
-def parsing(block_chars, forked=False, per_line=False):
+def parsing(block_chars, per_line=False):
     """Context in which ``parse_trials`` reads blocks of ``block_chars``
-    characters, each completed to its next newline, splits every block
-    line by line if ``per_line``, and, if ``forked``, reads the trial file
-    in a child: two CPUs and no small-file rule.  Otherwise one CPU, and a
-    fork fails the test.  On leaving it, exactly ``forked`` forks were made
-    and no child is left.
+    characters, each completed to its next newline, and splits every block
+    line by line if ``per_line``.  The process has two CPUs, and a fork
+    fails the test: both files are read in this process.
 
     Hypothesis tests may not take the function-scoped ``monkeypatch``.
     """
@@ -111,12 +106,8 @@ def parsing(block_chars, forked=False, per_line=False):
         patch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
         if per_line:
             patch.setattr(verif_metrics, "_single_spaced", lambda *args: None)
-        forks = fake_cpus(patch, 2 if forked else 1, None if forked else 0)
-        if forked:
-            patch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
+        fake_cpus(patch, 2, 0)
         yield
-    assert len(forks) == forked
-    assert_no_child()
 
 
 def brute_force_sweep(targets, nontargets):
@@ -514,31 +505,23 @@ class TestParseTrialsBlocks:
         ],
     )
     def test_each_file_opened_once(self, tmp_path, monkeypatch, trials, scores, valid):
-        """Read here or in a child, each file is opened once on valid input
-        and at most once on bad input.  The opens of both processes go to
-        one append-only log."""
+        """Each file is opened once on valid input and at most once on bad
+        input."""
         paths = {"t": tmp_path / "t.txt", "s": tmp_path / "s.txt"}
         paths["t"].write_text(trials, encoding="utf-8")
         paths["s"].write_text(scores, encoding="utf-8")
-        log = tmp_path / "opened.log"
+        opened = []
 
         def logging_open(path, *args, **kwargs):
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            try:
-                os.write(fd, f"{path}\n".encode())
-            finally:
-                os.close(fd)
+            opened.append(path)
             return open(path, *args, **kwargs)
 
         monkeypatch.setattr(verif_metrics, "open", logging_open, raising=False)
-        for forked in (False, True):
-            log.write_bytes(b"")
-            with parsing(12, forked), contextlib.suppress(ValueError):
-                parse_trials(str(paths["t"]), str(paths["s"]))
-            opened = log.read_text(encoding="utf-8").splitlines()
-            counts = [opened.count(str(paths[name])) for name in "st"]
-            assert len(opened) == sum(counts)
-            assert counts == [1, 1] if valid else max(counts) <= 1, (forked, opened)
+        with parsing(12), contextlib.suppress(ValueError):
+            parse_trials(str(paths["t"]), str(paths["s"]))
+        counts = [opened.count(str(paths[name])) for name in "st"]
+        assert len(opened) == sum(counts)
+        assert counts == [1, 1] if valid else max(counts) <= 1, opened
 
 
 IDS = st.text(alphabet="abXY09/._-", min_size=1, max_size=5)
@@ -599,40 +582,30 @@ def write_lines(data, directory, name, lines):
 
 
 # The default block and 16-character blocks, whose boundaries fall inside
-# lines and between rows, blank lines and bad lines alike; 16-character
-# blocks with the trial file read in a forked child; then the default
+# lines and between rows, blank lines and bad lines alike; then the default
 # block with every block split line by line, so each property checks both
 # tokenizers.
 READS = pytest.mark.parametrize(
-    "block_chars, forked, per_line",
+    "block_chars, per_line",
     [
-        pytest.param(verif_metrics._BLOCK_CHARS, False, False, id="block"),
-        pytest.param(16, False, False, id="block16"),
-        pytest.param(16, True, False, id="block16-forked"),
-        pytest.param(verif_metrics._BLOCK_CHARS, False, True, id="per-line"),
+        pytest.param(verif_metrics._BLOCK_CHARS, False, id="block"),
+        pytest.param(16, False, id="block16"),
+        pytest.param(verif_metrics._BLOCK_CHARS, True, id="per-line"),
     ],
 )
 
 
-def examples(forked):
-    """Hypothesis examples per read case: 200 in-process, 30 forked.  A
-    forked example forks the test process and costs about twice as much.
-    The 30 insert some 60 bad lines of the seven kinds, and the join they
-    check is the one the in-process cases check."""
-    return 30 if forked else 200
-
-
 class TestParseTrialsProperties:
     @READS
-    def test_matches_reference_join(self, block_chars, forked, per_line):
+    def test_matches_reference_join(self, block_chars, per_line):
         @given(st.data())
-        @settings(max_examples=examples(forked), deadline=None)
+        @settings(max_examples=200, deadline=None)
         def check(data):
             trial_lines, score_lines = trial_files(data)
             with tempfile.TemporaryDirectory() as directory:
                 t = write_lines(data, directory, "t.txt", trial_lines)
                 s = write_lines(data, directory, "s.txt", score_lines)
-                with parsing(block_chars, forked, per_line):
+                with parsing(block_chars, per_line):
                     trials = parse_trials(t, s)
                 scores, is_target = reference_join(t, s)
             assert trials.scores.tolist() == scores
@@ -641,14 +614,14 @@ class TestParseTrialsProperties:
         check()
 
     @READS
-    def test_wrong_field_count_names_its_line(self, block_chars, forked, per_line):
+    def test_wrong_field_count_names_its_line(self, block_chars, per_line):
         """One to three bad lines of any kind at random lines of either file:
         the first bad line, score file first, is named as the line-by-line
         oracle names it.  Lines of 2 and 4 fields may sit next to each other,
         so the token total can stay a multiple of 3."""
 
         @given(st.data())
-        @settings(max_examples=examples(forked), deadline=None)
+        @settings(max_examples=200, deadline=None)
         def check(data):
             trial_lines, score_lines = trial_files(data)
             for k in range(data.draw(st.integers(1, 3))):
@@ -686,12 +659,12 @@ class TestParseTrialsProperties:
                     expected = reference_join(t, s)
                 except ValueError as exc:
                     message = f"^{re.escape(str(exc))}"
-                    with parsing(block_chars, forked, per_line), pytest.raises(
+                    with parsing(block_chars, per_line), pytest.raises(
                         ValueError, match=message
                     ):
                         parse_trials(t, s)
                 else:
-                    with parsing(block_chars, forked, per_line):
+                    with parsing(block_chars, per_line):
                         trials = parse_trials(t, s)
                     assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
 
@@ -777,7 +750,7 @@ class TestBlockTokenizers:
         check()
 
 
-FORKED = pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+TOKENIZERS = pytest.mark.parametrize("per_line", [False, True], ids=["block", "per-line"])
 # Keys of 7, 8, 9, 15, 16 and 17 bytes, and keys ending in NUL bytes whose
 # words equal those of the key without them.
 PADDED_KEYS = [
@@ -795,9 +768,9 @@ def write_pair(tmp_path, trials, scores):
 
 class TestParseTrialsKeys:
     """Every hash match is confirmed on the key bytes, and keys that share
-    a hash are joined exactly, here or in the child."""
+    a hash are joined exactly, by either tokenizer."""
 
-    @FORKED
+    @TOKENIZERS
     @pytest.mark.parametrize(
         "key_hash",
         [
@@ -818,14 +791,14 @@ class TestParseTrialsKeys:
         ],
     )
     def test_shared_hashes_join_as_the_oracle(
-        self, tmp_path, monkeypatch, trials, scores, key_hash, forked
+        self, tmp_path, monkeypatch, trials, scores, key_hash, per_line
     ):
         monkeypatch.setattr(verif_metrics, "_key_hash", key_hash)
         t, s = write_pair(tmp_path, trials, scores)
-        with parsing(12, forked):
+        with parsing(12, per_line=per_line):
             assert_matches_reference(t, s)
 
-    @FORKED
+    @TOKENIZERS
     @pytest.mark.parametrize(
         "key_hash",
         [verif_metrics._key_hash, lambda words, length: np.zeros(len(words), np.int64)],
@@ -840,7 +813,7 @@ class TestParseTrialsKeys:
         ],
     )
     def test_unusual_ids_join_as_the_oracle(
-        self, tmp_path, monkeypatch, key_hash, extra_trial, forked
+        self, tmp_path, monkeypatch, key_hash, extra_trial, per_line
     ):
         """Ids ending in NUL bytes, non-ASCII ids whose byte length is not
         their length in characters, and one 10,000-character id among short
@@ -854,10 +827,10 @@ class TestParseTrialsKeys:
         scores = "".join(f"{e} {t} {k / 8}\n" for k, (e, t) in enumerate(reversed(pairs)))
         trials = "".join(f"{k % 2} {e} {t}\n" for k, (e, t) in enumerate(pairs)) + extra_trial
         t, s = write_pair(tmp_path, trials, scores)
-        with parsing(12, forked):
+        with parsing(12, per_line=per_line):
             assert_matches_reference(t, s)
 
-    @FORKED
+    @TOKENIZERS
     @pytest.mark.parametrize("block_chars", [12, verif_metrics._BLOCK_CHARS])
     @pytest.mark.parametrize(
         "trials, scores",
@@ -882,90 +855,24 @@ class TestParseTrialsKeys:
         ],
     )
     def test_keys_either_side_of_a_word_join_as_the_oracle(
-        self, tmp_path, trials, scores, block_chars, forked
+        self, tmp_path, trials, scores, block_chars, per_line
     ):
         """Keys of 7 to 17 bytes, padded to 8-byte words: the padding is
         zero and the length is part of the key, whatever bytes follow a key
-        in its line, here or in the child."""
+        in its line."""
         t, s = write_pair(tmp_path, trials, scores)
-        with parsing(block_chars, forked):
+        with parsing(block_chars, per_line):
             assert_matches_reference(t, s)
 
-    def test_received_columns_have_builtin_dtypes(self, tmp_path, monkeypatch):
-        """The child's columns come back with numpy's builtin dtypes, on
-        which ``np.minimum.at`` in the repeat check takes its fast path."""
-        received = []
-        receive = verif_metrics._receive_columns
-        monkeypatch.setattr(
-            verif_metrics,
-            "_receive_columns",
-            lambda *args: received.append(receive(*args)) or received[-1],
+    def test_score_on_two_cpus_reads_in_this_process(self, tmp_path, monkeypatch, capsys):
+        """A trial file of over 1 MiB on two CPUs is read without a fork."""
+        fake_cpus(monkeypatch, 2, 0)
+        n = 1 << 16
+        t, s = write_pair(
+            tmp_path,
+            "".join(f"{k % 2} enroll{k:06d} test{k:06d}\n" for k in range(n)),
+            "".join(f"enroll{k:06d} test{k:06d} {k % 2}.0\n" for k in range(n)),
         )
-        t, s = write_pair(tmp_path, "1 a x\n0 b y\n", SCORES_ABCD)
-        with parsing(12, forked=True):
-            parse_trials(t, s)
-        (columns,) = received
-        for name in ("hashes", "lengths", "slots", "lines", "values"):
-            assert getattr(columns, name).dtype.isbuiltin == 1, name
-
-    @pytest.mark.parametrize(
-        "failure, scores, raised, message",
-        [
-            pytest.param("raises", SCORES_ABCD, RuntimeError, "trial read failed", id="child-raises"),
-            pytest.param(
-                "killed", SCORES_ABCD, ChildProcessError,
-                r"reading .*t\.txt failed in a child process \(exit status -9\)",
-                id="child-killed",
-            ),
-            # The child is still reading when the score file's error raises.
-            pytest.param(
-                "hangs", "a x 0.1\na x 0.2\n", ValueError, r".*s\.txt:2: duplicate score",
-                id="bad-score-file",
-            ),
-        ],
-    )
-    def test_failure_raises_and_leaves_no_child(
-        self, tmp_path, monkeypatch, failure, scores, raised, message
-    ):
-        read = verif_metrics._key_columns
-
-        def failing_read(path, layout):
-            if layout is verif_metrics._TRIALS:
-                if failure == "raises":
-                    raise RuntimeError("trial read failed")
-                if failure == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                time.sleep(60)
-            return read(path, layout)
-
-        monkeypatch.setattr(verif_metrics, "_key_columns", failing_read)
-        t, s = write_pair(tmp_path, "1 a x\n0 b y\n", scores)
-        start = time.monotonic()
-        with parsing(12, forked=True), pytest.raises(raised, match=f"^{message}"):
-            parse_trials(t, s)
-        assert time.monotonic() - start < 30
-
-    def test_score_on_two_cpus_emits_no_fork_warning(self, tmp_path, monkeypatch, capsys):
-        """Python 3.12+ warns at a fork in a multi-threaded process, which
-        OpenBLAS makes of any numpy process; ``score`` does not pass it on."""
-        forks = fake_cpus(monkeypatch, 2)
-        monkeypatch.setattr(verif_metrics, "_FORK_MIN_BYTES", 0)
-        counting_fork = os.fork
-
-        def warning_fork():
-            message = (
-                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
-                "may lead to deadlocks in the child."
-            )
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            return counting_fork()
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        t, s = write_pair(tmp_path, "0 a x\n1 b y\n", SCORES_ABCD)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["score", "--trials", t, "--scores", s])
+        assert os.path.getsize(t) > 1 << 20
+        code = main(["score", "--trials", t, "--scores", s])
         assert (code, capsys.readouterr().out) == (0, "EER% 0.0000\nminDCF 0.0000\n")
-        assert [str(w.message) for w in caught] == []
-        assert len(forks) == 1
-        assert_no_child()
