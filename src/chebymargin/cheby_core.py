@@ -36,8 +36,9 @@ _CLENSHAW_COPY_MAX = 1024
 class ChebyshevSeries:
     """Truncated Chebyshev expansion ``sum_{k=0..n} a_k T_k`` of the margin transform.
 
-    ``coefficients[k] == a_k``: a non-empty 1-D array whose every odd entry
-    above index 1 is zero, as it is for the margin transform.
+    ``coefficients[k] == a_k``: a non-empty 1-D array of finite values
+    whose every odd entry above index 1 is zero, as it is for the margin
+    transform.
     """
 
     coefficients: np.ndarray
@@ -51,6 +52,10 @@ class ChebyshevSeries:
         if odd.size:
             k = 3 + 2 * int(odd[0])
             raise ValueError(f"odd coefficient a_{k} must be 0, got {self.coefficients[k]}")
+        nonfinite = np.flatnonzero(~np.isfinite(self.coefficients))
+        if nonfinite.size:
+            k = int(nonfinite[0])
+            raise ValueError(f"coefficient a_{k} must be finite, got {self.coefficients[k]}")
 
     @property
     def degree(self) -> int:

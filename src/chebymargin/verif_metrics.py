@@ -176,20 +176,20 @@ def _single_spaced(text: str, key_at: int, value_at: int):
     length of its key, which is fields ``key_at`` and ``key_at + 1`` and
     the space between them, and of its field ``value_at``.
     """
-    # A first line that fails is found without the scan: a file that is
-    # not single-spaced mostly fails on every block's first line.
-    first = text[: text.index("\n")]
-    if first.count(" ") != 2 or len(first.split()) != 3:
-        return None
     data = np.frombuffer(text.encode() + _PAD, dtype=np.uint8)
     marks = np.flatnonzero(data[: len(text)] <= 0x20)
     if data[marks].tobytes() != b"  \n" * (marks.size // 3):
         return None
-    # Field k of line i lies strictly between bounds[3 i + k] and the next
-    # bound; the first bound stands for a newline before the text.
     bounds = np.concatenate(([-1], marks))
     if np.diff(bounds).min() < 2:
         return None
+    return _fields(data, bounds, key_at, value_at)
+
+
+def _fields(data, bounds, key_at: int, value_at: int):
+    """``(data, key_starts, key_lengths, value_starts, value_lengths)`` of
+    rows of three fields each, where field k of row i lies strictly between
+    ``bounds[3 i + k]`` and the next bound; the first bound is -1."""
     starts = bounds[:-1] + 1
     key_starts = starts[key_at::3]
     value_starts = starts[value_at::3]
@@ -198,15 +198,17 @@ def _single_spaced(text: str, key_at: int, value_at: int):
     return data, key_starts, key_lengths, value_starts, value_lengths
 
 
-def _split_lines(text: str, start: int, expected: str):
-    """Tokenize ``text``, whose first line is line ``start``, line by line.
+def _split_block(text: str, start: int, layout):
+    """Split ``text``, whose first line is line ``start``, line by line.
 
-    Returns ``(tokens, rows, n_lines, error)``: the flat whitespace tokens
-    (three per row), the index among the lines of every line that is not
-    blank, the number of lines, and ``None`` or the ``(line, message)`` of
-    the first other line without exactly three fields or the line of the
-    first byte that is not UTF-8.  The rows and tokens stop before it.
+    Returns ``(rows, n_lines, error, fields)``: the index among the lines
+    of every line that is not blank, the number of lines, ``None`` or the
+    ``(line, message)`` of the first other line without exactly three
+    fields or the line of the first byte that is not UTF-8, and the
+    field positions (:func:`_fields`) of the rows before it, in ``data``
+    that holds their fields encoded, each followed by one space.
     """
+    expected, key_at, value_at, _ = layout
     lines = text.split("\n")
     if text.endswith("\n"):
         lines.pop()
@@ -235,28 +237,10 @@ def _split_lines(text: str, start: int, expected: str):
         row = int(rows[k])
         error = start + row, f"expected {expected}, got {lines[row].strip()!r}"
         rows, tokens = rows[:k], tokens[: 3 * k]
-    return tokens, rows, n_lines, error
-
-
-def _split_block(text: str, start: int, layout):
-    """``(rows, n_lines, data, key_starts, key_lengths, values, error)``
-    of a block split line by line (:func:`_split_lines`), its values
-    parsed up to the first bad one.  The keys are encoded one by one and
-    joined, followed by ``_PAD``, into ``data``."""
-    expected, key_at, value_at, parse, _ = layout
-    tokens, rows, n_lines, error = _split_lines(text, start, expected)
-    values, bad = parse(tokens[value_at::3], lambda i: _line(text, int(rows[i])))
-    if bad is not None:
-        i, message = bad
-        error = start + int(rows[i]), message
-        rows = rows[:i]
-    n = rows.size
-    enrolls, tests = tokens[key_at : 3 * n : 3], tokens[key_at + 1 : 3 * n : 3]
-    pieces = list(map(str.encode, map(" ".join, zip(enrolls, tests))))
-    lengths = np.fromiter(map(len, pieces), dtype=np.int32, count=n)
-    data = np.frombuffer(b"".join(pieces) + _PAD, dtype=np.uint8)
-    starts = np.cumsum(lengths) - lengths
-    return rows, n_lines, data, starts, lengths, values[:n], error
+    # No token holds a space, so the space written after each bounds it.
+    data = np.frombuffer(" ".join(tokens).encode() + b" " + _PAD, dtype=np.uint8)
+    bounds = np.concatenate(([-1], np.flatnonzero(data == 0x20)[: len(tokens)]))
+    return rows, n_lines, error, _fields(data, bounds, key_at, value_at)
 
 
 def _row_blocks(path: str, layout):
@@ -271,29 +255,37 @@ def _row_blocks(path: str, layout):
     is the last one yielded.  Blank lines are skipped.
 
     A block that is ASCII, ends in a newline and holds only single-spaced
-    lines (:func:`_single_spaced`) is read at the positions of its scan,
-    its values parsed from their bytes.  Any other block, and one with a
-    value that does not parse, is split line by line
-    (:func:`_split_lines`), which names the first bad line.
+    lines is read at the positions of one scan (:func:`_single_spaced`);
+    any other block is split line by line (:func:`_split_block`), which
+    names a line without three fields or with a byte that is not UTF-8.
+    Either way each value is parsed at its position by the layout's one
+    value parser, which names the first bad value: a single-spaced block
+    with a bad value is not split.
     """
-    _, key_at, value_at, _, parse_cells = layout
+    _, key_at, value_at, parse = layout
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         start, error = 1, None
         while error is None and (text := fh.read(_BLOCK_CHARS)):
             if not text.endswith("\n"):
                 text += fh.readline()
-            fields = values = None
+            fields = None
             if text.isascii() and text.endswith("\n"):
                 fields = _single_spaced(text, key_at, value_at)
-            if fields is not None:
-                data, key_starts, key_lengths, value_starts, value_lengths = fields
-                values = parse_cells(data, value_starts, value_lengths)
-            if values is None:
-                rows, n_lines, *block, error = _split_block(text, start, layout)
+            if fields is None:
+                rows, n_lines, error, fields = _split_block(text, start, layout)
             else:
-                n_lines = key_lengths.size
-                rows, block = np.arange(n_lines), (data, key_starts, key_lengths, values)
-            yield start, rows, *block, error
+                n_lines = fields[1].size
+                rows = np.arange(n_lines)
+            data, key_starts, key_lengths, value_starts, value_lengths = fields
+            values, bad = parse(
+                data, value_starts, value_lengths, lambda i: _line(text, int(rows[i]))
+            )
+            n = rows.size
+            if bad is not None:
+                # The split stops before its own error, so a bad value is earlier.
+                n, message = bad
+                error = start + int(rows[n]), message
+            yield start, rows[:n], data, key_starts[:n], key_lengths[:n], values[:n], error
             start += n_lines
 
 
@@ -313,15 +305,27 @@ def _raise_first(path: str, *errors) -> None:
         raise ValueError(f"{path}:{line}: {message}")
 
 
-def _parse_scores(raw, quote):
-    """Each score token as a float, and ``None`` or the ``(index, message)``
-    of the first token that is not a finite number."""
-    bad = None
+def _score_cells(data, starts, lengths, quote):
+    """The score at each ``(start, length)`` of ``data`` as a float, and
+    ``None`` or the ``(index, message)`` of the first cell that is not a
+    finite number; the values stop before a cell that is not a number.
+
+    ``float`` reads each cell's bytes, gathered one cell length at a time
+    as ``V`` items, which keep a trailing NUL byte.  If it refuses one,
+    each cell is read again in order as UTF-8 text, which ``float`` also
+    reads in other scripts' digits.
+    """
+    values, bad = np.empty(starts.size), None
     try:
-        values = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+        for length in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == length)
+            cells = np.lib.stride_tricks.sliding_window_view(data, length)[starts[at]]
+            raw = cells.view(f"V{length}").ravel().tolist()
+            values[at] = np.fromiter(map(float, raw), dtype=np.float64, count=at.size)
     except ValueError:
         values = []
-        for text in raw:
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            text = data[start : start + length].tobytes().decode()
             try:
                 values.append(float(text))
             except ValueError:
@@ -332,51 +336,29 @@ def _parse_scores(raw, quote):
     nonfinite = np.flatnonzero(~np.isfinite(values))
     if nonfinite.size:
         i = int(nonfinite[0])
-        bad = i, f"score must be finite, got {raw[i]!r}"
+        text = data[starts[i] : starts[i] + lengths[i]].tobytes().decode()
+        bad = i, f"score must be finite, got {text!r}"
     return values, bad
 
 
-def _parse_labels(raw, quote):
-    """Each label token as a bool, and ``None`` or the ``(index, message)``
-    of the first token that is not 0 or 1, which quotes the row's line."""
-    bad = None
-    if not set(raw) <= {"0", "1"}:
-        i = next(i for i, label in enumerate(raw) if label not in ("0", "1"))
-        bad = i, f"expected {_TRIAL_FORMAT}, got {quote(i)!r}"
-    return np.fromiter(map("1".__eq__, raw), dtype=bool, count=len(raw)), bad
-
-
-def _score_cells(data, starts, lengths):
-    """The score at each ``(start, length)`` of ``data`` as a float, or
-    ``None`` if one is not a finite number.  ``float`` reads each cell's
-    bytes, as it reads a token, gathered one cell length at a time."""
-    values = np.empty(starts.size)
-    for length in np.unique(lengths).tolist():
-        at = np.flatnonzero(lengths == length)
-        cells = np.lib.stride_tricks.sliding_window_view(data, length)[starts[at]]
-        raw = cells.view(f"S{length}").ravel().tolist()
-        try:
-            values[at] = np.fromiter(map(float, raw), dtype=np.float64, count=at.size)
-        except ValueError:
-            return None
-    return values if np.isfinite(values).all() else None
-
-
-def _label_cells(data, starts, lengths):
-    """The label at each ``(start, length)`` of ``data`` as a bool, or
-    ``None`` if one is not the byte 0 or 1."""
+def _label_cells(data, starts, lengths, quote):
+    """The label at each ``(start, length)`` of ``data`` as a bool, and
+    ``None`` or the ``(index, message)`` of the first cell that is not the
+    byte 0 or 1, which quotes the row's line (``quote(index)``)."""
     labels = data[starts]
-    if np.any(lengths != 1) or np.any((labels != ord("0")) & (labels != ord("1"))):
-        return None
-    return labels == ord("1")
+    wrong = np.flatnonzero((lengths != 1) | ((labels != ord("0")) & (labels != ord("1"))))
+    bad = None
+    if wrong.size:
+        i = int(wrong[0])
+        bad = i, f"expected {_TRIAL_FORMAT}, got {quote(i)!r}"
+    return labels == ord("1"), bad
 
 
-# Per file: the format its errors name, the token of a row's enroll id and
-# of its value, the parser of the value tokens, which is also given a
-# function quoting a row's line, and the parser of a single-spaced block's
-# value cells.
-_SCORES = (_SCORE_FORMAT, 0, 2, _parse_scores, _score_cells)
-_TRIALS = (_TRIAL_FORMAT, 1, 0, _parse_labels, _label_cells)
+# Per file: the format its errors name, the field of a row's enroll id and
+# of its value, and the parser of the value cells, which is also given a
+# function quoting a row's line.
+_SCORES = (_SCORE_FORMAT, 0, 2, _score_cells)
+_TRIALS = (_TRIAL_FORMAT, 1, 0, _label_cells)
 
 
 class _KeyColumns(NamedTuple):
@@ -406,8 +388,9 @@ def _key_columns(path: str, layout) -> _KeyColumns:
     ``layout`` is ``_SCORES`` or ``_TRIALS``.  The read stops at the first
     line with a format error: a field count, a label or a score value.
     """
-    parse = layout[3]
-    parts = [(np.empty(0, np.int64), *[np.empty(0, np.int32)] * 3, parse([], None)[0])]
+    empty = np.empty(0, np.int32)
+    values = layout[3](np.empty(0, np.uint8), empty, empty, None)[0]
+    parts = [(np.empty(0, np.int64), empty, empty, empty, values)]
     keys: dict = {}  # key length -> bytearray of the padded keys of that length
     error = None
     for start, rows, data, starts, lengths, values, error in _row_blocks(path, layout):
@@ -563,17 +546,20 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     Each file is read once, in blocks of about ``_BLOCK_CHARS`` characters
     completed to the next newline, into key columns.  In a block of ASCII
     lines that are each three non-empty fields joined by single spaces,
-    one numpy scan of its bytes finds every field, and each key and value
-    is gathered from the bytes at its position; a score is read by
-    ``float``.  Any other block, or one with a value that is not a finite
-    score or a 0/1 label, is split line by line, to the same columns,
-    messages and line numbers.  The columns hold per row a 64-bit hash of
-    the key's 8-byte words, the key's bytes zero-padded to whole words,
-    the line number and the score or label.  Both files' columns are held
-    for the join, which sorts the score hashes, looks up the trial hashes
-    and confirms every match on the key bytes; if two distinct keys share
-    a hash, the join is redone on exact key numbers.  Both files are read
-    in this process, the score file first.  There is no option.
+    one numpy scan of its bytes finds every field; any other block is
+    split line by line and its fields written out, each followed by a
+    space, at positions of their own.  Each key and value is then
+    gathered from the bytes at its position, and each value parsed there
+    by one parser per kind: a label is the byte 0 or 1, and a score is
+    what ``float`` reads.  A bad value is named from its position, with
+    no second split of its block.  The columns hold per row a 64-bit
+    hash of the key's 8-byte words, the key's bytes zero-padded to whole
+    words, the line number and the score or label.  Both files' columns
+    are held for the join, which sorts the score hashes, looks up the
+    trial hashes and confirms every match on the key bytes; if two
+    distinct keys share a hash, the join is redone on exact key numbers.
+    Both files are read in this process, the score file first.  There is
+    no option.
     """
     scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)
     if not unique:

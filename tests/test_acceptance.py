@@ -130,7 +130,13 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_bounded_versus_exploding():
     """Series Lipschitz constant stays small while the exact derivative
-    blows up approaching the edge."""
+    blows up approaching the edge.
+
+    Both are slopes against the cosine, the ``dL/dcos`` factor ``psi'``.
+    Along the sphere the weight rows move on, AAM's pull
+    ``|psi'(x)| sin(theta)`` stays at most 1 and nothing explodes; this
+    criterion does not measure that.
+    """
     start = time.perf_counter()
     series = coefficients(0.3, 30)
     lip = lipschitz_constant(series)
@@ -181,7 +187,15 @@ def test_criterion_6_desk_scale_stability():
     """Paired 30-epoch runs at margin 0.5 on identical data: the series
     run finishes clean and accurate with no larger gradient peaks than the
     arccos-path run.  (Full-benchmark verification numbers are out of
-    reach at desk scale; this bounded-gradient property is the stand-in.)"""
+    reach at desk scale; this bounded-gradient property is the stand-in.)
+
+    ``grad_norm_max`` is the largest norm of ``dL/dcos``, the gradient
+    against the cosines, not of the step the renormalized weights take.
+    The inequality holds at the degree this runs at, 30, not at every
+    degree: below its slope cap the series' slope overshoots ``psi'``,
+    and at degree 100 (seed 0) ChebyAAM's peak is 48.4 against AAM's
+    47.5.
+    """
     start = time.perf_counter()
     shared = dict(
         epochs=30, batch_size=64, seed=0, dim=32, num_classes=16, samples_per_class=200

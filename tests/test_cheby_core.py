@@ -229,6 +229,22 @@ class TestEvenKernel:
             ChebyshevSeries([0, 1, 0, math.nan])
         ChebyshevSeries([0.5, 1.0])
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([0.0, math.nan], "a_1 must be finite, got nan"),
+            ([0, 1, math.inf], "a_2 must be finite, got inf"),
+            ([math.nan, 1.0], "a_0 must be finite, got nan"),
+            ([0, 1, -math.inf, 0, math.nan], "a_2 must be finite, got -inf"),
+        ],
+    )
+    def test_series_rejects_non_finite_coefficient(self, coeffs, message):
+        """A NaN or infinite coefficient would make every value, slope and
+        Lipschitz constant of the series NaN or infinite; it is refused
+        where the series is built, naming the first such index."""
+        with pytest.raises(ValueError, match=f"^coefficient {re.escape(message)}$"):
+            ChebyshevSeries(coeffs)
+
     @pytest.mark.parametrize("coeffs", [[[0.5, 1.0, 0.1]], [], [[]], 0.5])
     def test_series_needs_nonempty_1d_coefficients(self, coeffs):
         message = f"coefficients must be a non-empty 1-D array, got shape {np.shape(coeffs)}"

@@ -341,6 +341,19 @@ class TestParseTrials:
                     self.write(tmp_path, "s.txt", f"a x 0.1\nb y {raw}\n"),
                 )
 
+    @pytest.mark.parametrize("block_chars", [1, verif_metrics._BLOCK_CHARS])
+    def test_float_decides_on_the_text(self, tmp_path, block_chars):
+        """``float`` reads a score in any script's digits, as in the text:
+        ``\u0661`` is ARABIC-INDIC DIGIT ONE, whose UTF-8 bytes ``float``
+        refuses.  A bad score after it is still named on its line."""
+        trials = self.write(tmp_path, "t.txt", "1 a x\n0 b y\n")
+        scores = self.write(tmp_path, "s.txt", "a x \u0661\nb y 0.5\n")
+        bad_scores = self.write(tmp_path, "bad.txt", "a x \u0661\nb y 0.5\nc z x\n")
+        with parsing(block_chars):
+            assert parse_trials(trials, scores).scores.tolist() == [1.0, 0.5]
+            with pytest.raises(ValueError, match=r"bad\.txt:3: bad score 'x'$"):
+                parse_trials(trials, bad_scores)
+
     def test_duplicate_trial_rejected_with_line(self, tmp_path):
         with pytest.raises(ValueError, match=r"t\.txt:4: duplicate trial pair \(a, x\), first on line 1"):
             parse_trials(
@@ -412,6 +425,12 @@ class TestParseTrialsBlocks:
                 "a x 0.1\nb y 0.2\nc z -Infinity\n",
                 r"s\.txt:3: score must be finite, got '-Infinity'$",
                 id="non-finite-score-quoted-raw",
+            ),
+            pytest.param(
+                "1 a x\n",
+                "b y 0.1\na x 0.5\x00\nc z nope\n",
+                r"s\.txt:2: bad score '0\.5\\x00'$",
+                id="score-ending-in-nul-is-bad",
             ),
         ],
     )
@@ -748,6 +767,34 @@ class TestBlockTokenizers:
             assert_same_columns(blocks, per_line)
 
         check()
+
+
+    @pytest.mark.parametrize(
+        "trials, scores, message",
+        [
+            pytest.param(
+                "1 a x\n", "a x 0.1\nb y nope\n", r"s\.txt:2: bad score 'nope'$", id="score"
+            ),
+            pytest.param(
+                "1 a x\n2 b y\n",
+                "a x 0.1\nb y 0.2\n",
+                r"t\.txt:2: expected 'label enroll test' with label 0/1, got '2 b y'$",
+                id="label",
+            ),
+        ],
+    )
+    def test_bad_value_does_not_split_its_block(self, tmp_path, trials, scores, message):
+        """A single-spaced block with a bad value is named from its scan's
+        positions: the block is not split again line by line."""
+
+        def no_split(*args):
+            raise AssertionError("a single-spaced block was split line by line")
+
+        t, s = write_pair(tmp_path, trials, scores)
+        with parsing(verif_metrics._BLOCK_CHARS), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verif_metrics, "_split_block", no_split)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
+                parse_trials(t, s)
 
 
 TOKENIZERS = pytest.mark.parametrize("per_line", [False, True], ids=["block", "per-line"])
