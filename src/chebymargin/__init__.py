@@ -24,13 +24,7 @@ from .losses import (
     loss_grad_check,
     transform_target_logit,
 )
-from .toytrain import (
-    TrainConfig,
-    TrainTelemetry,
-    make_sphere_clusters,
-    train,
-    warmup_cosine_lr,
-)
+from .toytrain import TrainConfig, TrainTelemetry, make_sphere_clusters, train
 from .verif_metrics import (
     DcfParams,
     Trials,
@@ -71,5 +65,4 @@ __all__ = [
     "series_value_and_derivative",
     "train",
     "transform_target_logit",
-    "warmup_cosine_lr",
 ]

@@ -51,10 +51,6 @@ def _comma_list(flag: str, text: str, convert, noun: str) -> list:
     return items
 
 
-def _loss_kinds(args) -> list:
-    return _comma_list("--losses", args.losses, LossKind, "loss kind")
-
-
 def _loss_spec(args) -> LossSpec:
     return LossSpec(LossKind(args.loss), margin=args.margin, scale=args.scale, degree=args.degree)
 
@@ -162,13 +158,15 @@ def _cmd_lipschitz(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
+    # Both lists are checked whatever the kind, so neither is ignored unread.
+    degrees = _comma_list("--degrees", args.degrees, int, "degree")
+    kinds = _comma_list("--losses", args.losses, LossKind, "loss kind")
     if args.kind == "curves":
-        degrees = _comma_list("--degrees", args.degrees, int, "degree")
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:
         specs = [
             LossSpec(kind, margin=args.margin, scale=args.scale, degree=args.degree)
-            for kind in _loss_kinds(args)
+            for kind in kinds
         ]
         landscape.export_surfaces(specs, args.grid, args.out)
     print(f"wrote {args.out}")
@@ -202,9 +200,8 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     params = verif_metrics.DcfParams(args.p_target)
     trials = verif_metrics.parse_trials(args.trials, args.scores)
-    eer, min_dcf = verif_metrics._eer_and_min_dcf(trials, params)
-    print(f"EER% {eer * 100.0:.4f}")
-    print(f"minDCF {min_dcf:.4f}")
+    print(f"EER% {verif_metrics.compute_eer(trials) * 100.0:.4f}")
+    print(f"minDCF {verif_metrics.compute_min_dcf(trials, params):.4f}")
     return 0
 
 

@@ -149,7 +149,7 @@ def make_sphere_clusters(config: TrainConfig) -> SphereDataset:
     return SphereDataset(points=points, labels=labels)
 
 
-def warmup_cosine_lr(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:
+def _warmup_cosine_lr(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:
     """Linear ramp to ``peak`` over the warmup span, then cosine decay to 0."""
     if not 0 <= step < total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps})")
@@ -204,7 +204,7 @@ def train(config: TrainConfig) -> TrainTelemetry:
         np.clip(cosines, -1.0, 1.0, cosines)
         out = forwards[labels.size](cosines, labels)
 
-        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
+        lr = _warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
         grad_norm = float(np.abs(out.grad_cosines).max())
         telemetry.records.append(
             StepRecord(

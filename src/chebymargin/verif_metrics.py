@@ -11,6 +11,7 @@ sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,9 @@ class Trials:
 
     ``scores[i]`` is the score of trial ``i`` and ``is_target[i]`` says
     whether it is a same-speaker trial.  Both are 1-D arrays of one length;
-    every score is finite.
+    every score is finite.  :func:`compute_eer` and :func:`compute_min_dcf`
+    read one sweep of the operating points, built on first use and kept,
+    so the arrays must not change after construction.
     """
 
     scores: np.ndarray
@@ -47,6 +50,23 @@ class Trials:
     def __len__(self) -> int:
         return self.scores.size
 
+    @cached_property
+    def _operating_points(self):
+        """FAR and FRR of ``accept iff score >= v`` at each cut ``v``.
+
+        The cuts are the distinct scores in increasing order, then ``+inf``:
+        the first accepts every trial and the last rejects every trial, so
+        each achievable operating point appears exactly once.
+        """
+        targets = np.sort(self.scores[self.is_target])
+        nontargets = np.sort(self.scores[~self.is_target])
+        if targets.size == 0 or nontargets.size == 0:
+            raise ValueError("need at least one target and one nontarget trial")
+        cuts = np.append(np.unique(self.scores), np.inf)
+        far = 1.0 - np.searchsorted(nontargets, cuts, side="left") / nontargets.size
+        frr = np.searchsorted(targets, cuts, side="left") / targets.size
+        return far, frr
+
 
 @dataclass(frozen=True)
 class DcfParams:
@@ -60,25 +80,14 @@ class DcfParams:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
 
 
-def _operating_points(trials: Trials):
-    """FAR and FRR of ``accept iff score >= v`` at each cut ``v``.
+def compute_eer(trials: Trials) -> float:
+    """Equal error rate.
 
-    The cuts are the distinct scores in increasing order, then ``+inf``:
-    the first accepts every trial and the last rejects every trial, so
-    each achievable operating point appears exactly once.
+    ``FAR - FRR`` is non-increasing along the cuts; the rate is linearly
+    interpolated between the two adjacent operating points where the sign
+    changes.
     """
-    targets = np.sort(trials.scores[trials.is_target])
-    nontargets = np.sort(trials.scores[~trials.is_target])
-    if targets.size == 0 or nontargets.size == 0:
-        raise ValueError("need at least one target and one nontarget trial")
-    cuts = np.append(np.unique(trials.scores), np.inf)
-    far = 1.0 - np.searchsorted(nontargets, cuts, side="left") / nontargets.size
-    frr = np.searchsorted(targets, cuts, side="left") / targets.size
-    return far, frr
-
-
-def _eer(far: np.ndarray, frr: np.ndarray) -> float:
-    """:func:`compute_eer` from the operating points."""
+    far, frr = trials._operating_points
     diff = far - frr
     # diff is +1 at the first cut and -1 at +inf, so 0 < idx < diff.size.
     idx = int(np.argmax(diff <= 0))
@@ -88,22 +97,6 @@ def _eer(far: np.ndarray, frr: np.ndarray) -> float:
     return float(frr[idx - 1] + alpha * (frr[idx] - frr[idx - 1]))
 
 
-def _min_dcf(far: np.ndarray, frr: np.ndarray, params: DcfParams) -> float:
-    """:func:`compute_min_dcf` from the operating points."""
-    p = params.p_target
-    return float(np.min(p * frr + (1.0 - p) * far) / min(p, 1.0 - p))
-
-
-def compute_eer(trials: Trials) -> float:
-    """Equal error rate.
-
-    ``FAR - FRR`` is non-increasing along the cuts; the rate is linearly
-    interpolated between the two adjacent operating points where the sign
-    changes.
-    """
-    return _eer(*_operating_points(trials))
-
-
 def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     """Minimum normalized detection cost over all thresholds.
 
@@ -111,14 +104,9 @@ def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
     ``min(p_t, 1 - p_t)``, the better of the two score-blind decisions,
     so the value lies in [0, 1].
     """
-    return _min_dcf(*_operating_points(trials), params)
-
-
-def _eer_and_min_dcf(trials: Trials, params: DcfParams) -> tuple[float, float]:
-    """:func:`compute_eer` and :func:`compute_min_dcf` of ``trials``, from
-    one sweep of its operating points."""
-    far, frr = _operating_points(trials)
-    return _eer(far, frr), _min_dcf(far, frr, params)
+    far, frr = trials._operating_points
+    p = params.p_target
+    return float(np.min(p * frr + (1.0 - p) * far) / min(p, 1.0 - p))
 
 
 _SCORE_FORMAT = "'enroll test score'"

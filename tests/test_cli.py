@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import functools
 import math
 import os
 import subprocess
@@ -10,7 +11,14 @@ import pytest
 
 from chebymargin import verif_metrics
 from chebymargin.cli import SEED_ENV, build_parser, main
-from chebymargin.losses import LossKind, LossSpec, binary_derivative_surface
+from chebymargin.losses import (
+    LARGE_GRAD,
+    CosineBatch,
+    LossKind,
+    LossSpec,
+    binary_derivative_surface,
+    loss_forward,
+)
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +93,25 @@ class TestGradcheck:
         assert code == 0
         assert "gradcheck PASS" in out
         assert " margin=0.3 " in err
+
+    def test_lists_the_cells_whose_gradient_is_large(self, capsys):
+        """At scale 128 the AAM gradient passes ``LARGE_GRAD`` in some cells
+        of the seeded batch, and ``large_grad_entries`` lists exactly those,
+        row by row."""
+        code, out, _ = run_cli(
+            capsys, "gradcheck", "--loss", "aamsoftmax", "--scale", "128", "--seed", "0"
+        )
+        rng = np.random.default_rng(0)
+        batch = CosineBatch(rng.uniform(-0.95, 0.95, (8, 16)), rng.integers(0, 16, 8))
+        grad = loss_forward(LossSpec(LossKind.AAM_SOFTMAX, scale=128.0), batch).grad_cosines
+        large = [(int(i), int(j)) for i, j in np.argwhere(np.abs(grad) > LARGE_GRAD)]
+        assert len(large) == 15
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"max_abs_grad={float(np.abs(grad).max())!r}",
+            f"large_grad_entries={large}",
+            "gradcheck PASS",
+        ]
 
     def test_step_too_small_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gradcheck", "--step", "1e-20")
@@ -218,15 +245,41 @@ class TestScore:
         eer = verif_metrics.compute_eer(trials)
         min_dcf = verif_metrics.compute_min_dcf(trials, params)
         sweeps = []
-        sweep = verif_metrics._operating_points
-        monkeypatch.setattr(
-            verif_metrics, "_operating_points", lambda trials: sweeps.append(1) or sweep(trials)
-        )
+        sweep = verif_metrics.Trials._operating_points.func
+        counted = functools.cached_property(lambda trials: sweeps.append(1) or sweep(trials))
+        counted.__set_name__(verif_metrics.Trials, "_operating_points")
+        monkeypatch.setattr(verif_metrics.Trials, "_operating_points", counted)
         code, out, _ = run_cli(
             capsys, "score", "--trials", t, "--scores", s, "--p-target", "0.2"
         )
         assert (code, out) == (0, f"EER% {eer * 100.0:.4f}\nminDCF {min_dcf:.4f}\n")
         assert len(sweeps) == 1
+
+    def test_prints_what_the_public_metrics_return(self, capsys, tmp_path, monkeypatch):
+        """``score`` calls ``compute_eer`` and ``compute_min_dcf`` through the
+        module, once each per run, so wrappers put there see both calls and
+        what they return is what it prints."""
+        t, s = self.write_files(
+            tmp_path, "1 a x\n0 a y\n1 b z\n0 b w\n", "a x 0.9\na y 0.5\nb z 0.4\nb w 0.1\n"
+        )
+
+        def counting(original, values):
+            def wrapper(*args):
+                values.append(original(*args))
+                return values[-1]
+
+            return wrapper
+
+        returned = {"compute_eer": [], "compute_min_dcf": []}
+        for name, values in returned.items():
+            original = getattr(verif_metrics, name)
+            monkeypatch.setattr(verif_metrics, name, counting(original, values))
+        code, out, _ = run_cli(
+            capsys, "score", "--trials", t, "--scores", s, "--p-target", "0.2"
+        )
+        assert [len(values) for values in returned.values()] == [1, 1]
+        [eer], [min_dcf] = returned.values()
+        assert (code, out) == (0, f"EER% {eer * 100.0:.4f}\nminDCF {min_dcf:.4f}\n")
 
     def test_missing_score_exits_one(self, capsys, tmp_path):
         t, s = self.write_files(tmp_path, "1 a x\n0 a y\n", "a x 0.9\n")
@@ -420,10 +473,13 @@ class TestRejectedSettings:
                 "--losses needs at least one loss kind, got ','",
             ),
             (["--kind", "surfaces", "--losses", "asoftmax"], "--losses: bad loss kind 'asoftmax'"),
+            (["--losses", "bogus"], "--losses: bad loss kind 'bogus'"),
+            (["--kind", "surfaces", "--degrees", "2,x"], "--degrees: bad degree 'x'"),
         ],
     )
     def test_landscape_rejects_a_bad_list(self, capsys, tmp_path, argv, named):
-        """A list error names the flag and the bad entry."""
+        """A list error names the flag and the bad entry, whatever --kind
+        runs: the list the other kind reads is checked too."""
         out_path = tmp_path / "landscape.csv"
         code, out, err = run_cli(
             capsys, "landscape", "--kind", "curves", *argv, "--out", str(out_path)

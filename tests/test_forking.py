@@ -1,6 +1,8 @@
 """Tests for the child-process protocol on its own: frames in order, a
 child's failure, and no child left behind."""
 
+import errno
+import os
 from itertools import islice
 
 import pytest
@@ -45,4 +47,28 @@ def test_frames_not_drained_leave_no_child(drained):
     with _forking.Children() as children:
         frames = children.start(lambda: [b"a", BIG, b"c"], "unread work")
         assert len(list(islice(frames, drained))) == drained
+    assert_no_child()
+
+
+def test_a_fork_that_fails_closes_both_pipe_ends(monkeypatch):
+    pipes = []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with _forking.Children() as children:
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            children.start(lambda: [b"a"], "unforked work")
+    [ends] = pipes
+    for fd in ends:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
     assert_no_child()

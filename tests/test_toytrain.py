@@ -19,9 +19,9 @@ from chebymargin.toytrain import (
     TrainConfig,
     TrainTelemetry,
     _unit_rows,
+    _warmup_cosine_lr,
     make_sphere_clusters,
     train,
-    warmup_cosine_lr,
 )
 
 CHEBY = LossSpec(LossKind.CHEBY_AAM, margin=0.3, scale=32.0, degree=30)
@@ -106,17 +106,17 @@ class TestSphereClusters:
 
 class TestWarmupCosine:
     def test_starts_at_zero(self):
-        assert warmup_cosine_lr(0, 100, 0.2, 0.1) == 0.0
+        assert _warmup_cosine_lr(0, 100, 0.2, 0.1) == 0.0
 
     def test_peak_at_warmup_end(self):
-        assert warmup_cosine_lr(10, 100, 0.2, 0.1) == pytest.approx(0.2, abs=1e-15)
+        assert _warmup_cosine_lr(10, 100, 0.2, 0.1) == pytest.approx(0.2, abs=1e-15)
 
     def test_linear_ramp(self):
-        assert warmup_cosine_lr(5, 100, 0.2, 0.1) == pytest.approx(0.1, abs=1e-15)
+        assert _warmup_cosine_lr(5, 100, 0.2, 0.1) == pytest.approx(0.1, abs=1e-15)
 
     def test_final_step_near_zero(self):
         total = 10000
-        value = warmup_cosine_lr(total - 1, total, 0.2, 0.1)
+        value = _warmup_cosine_lr(total - 1, total, 0.2, 0.1)
         eps = 1.0 / (total - 0.1 * total)
         oracle = 0.2 * (1 - math.cos(math.pi * eps)) / 2
         assert value == pytest.approx(oracle, rel=1e-9)
@@ -124,9 +124,9 @@ class TestWarmupCosine:
 
     def test_rejects_out_of_range_step(self):
         with pytest.raises(ValueError):
-            warmup_cosine_lr(100, 100, 0.2, 0.1)
+            _warmup_cosine_lr(100, 100, 0.2, 0.1)
         with pytest.raises(ValueError):
-            warmup_cosine_lr(-1, 100, 0.2, 0.1)
+            _warmup_cosine_lr(-1, 100, 0.2, 0.1)
 
     @given(
         total=st.integers(min_value=5, max_value=5000),
@@ -138,7 +138,7 @@ class TestWarmupCosine:
         """The rate never exceeds the peak, never goes negative, and no
         single step jumps by more than the worst local slope (covers the
         handoff at fractional warmup boundaries)."""
-        values = [warmup_cosine_lr(s, total, peak, fraction) for s in range(total)]
+        values = [_warmup_cosine_lr(s, total, peak, fraction) for s in range(total)]
         assert all(0.0 <= v <= peak * (1 + 1e-12) for v in values)
         warmup_slope = peak / (fraction * total)
         cosine_slope = math.pi * peak / (2 * (total - fraction * total))
@@ -334,7 +334,7 @@ def reference_train(config):
         points, labels = data.points.take(idx, axis=0), data.labels.take(idx)
         cosines = (points @ weights.T).clip(-1.0, 1.0)
         out = loss_forward(config.loss, CosineBatch(cosines, labels))
-        lr = warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
+        lr = _warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
         grad_norm = float(np.abs(out.grad_cosines).max())
         record = StepRecord(step, lr, out.mean_loss, grad_norm, float(out.target_cosines.max()))
         telemetry.records.append(record)
