@@ -46,9 +46,9 @@ def main():
             LossSpec(LossKind.AAM_SOFTMAX, margin=args.margin, scale=args.scale),
             LossSpec(LossKind.CHEBY_AAM, margin=args.margin, scale=args.scale, degree=max(degrees)),
         ]
-    except ValueError as exc:
+        os.makedirs(args.outdir, exist_ok=True)
+    except (ValueError, OSError) as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
-    os.makedirs(args.outdir, exist_ok=True)
 
     curves_path = os.path.join(args.outdir, f"curves_m{args.margin:g}.csv")
     export_curves(args.margin, degrees, args.grid, curves_path)

@@ -37,9 +37,9 @@ def main():
                 loss_margin = 0.0 if kind is LossKind.N_SOFTMAX else margin
                 spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
                 configs[TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)] = None
-    except ValueError as exc:
+        os.makedirs(args.outdir, exist_ok=True)
+    except (ValueError, OSError) as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
-    os.makedirs(args.outdir, exist_ok=True)
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
     for config in configs:

@@ -1,13 +1,11 @@
 """Forked children that share a process's work across the CPUs it may use.
 
-A child runs one function, ``work()``, and sends each frame of what it
-returns over a pipe: the frame's length, 8 bytes little-endian, then its
-bytes.  It leaves through ``os._exit``: it must neither return to the
-caller nor flush the buffers it inherited, such as stdout's.  Nothing is
-pickled to start a child; it inherits the function and its data.
+A child inherits one function, ``work()``, and its data; nothing is
+pickled.  It writes each bytes-like block ``work()`` returns to a pipe as it
+is, which the parent reads back as one stream of bytes, and leaves through
+``os._exit``: it must neither return to the caller nor flush the buffers it
+inherited, such as stdout's.
 """
-
-from __future__ import annotations
 
 import os
 import warnings
@@ -23,13 +21,11 @@ class Children:
     """Context manager owning the children forked through :meth:`start`.
 
     Leaving the ``with`` block, normally or by an exception, kills and
-    reaps every child whose frames were not drained, so none outlives it.
+    reaps every child whose bytes were not all read, so none outlives it.
     """
 
-    def __init__(self):
-        self._pids: dict = {}  # read end of a child's pipe -> its pid
-
     def __enter__(self):
+        self._pids: dict = {}  # read end of a child's pipe -> its pid
         return self
 
     def __exit__(self, *exc_info):
@@ -43,8 +39,8 @@ class Children:
             self._pids.clear()
 
     def start(self, work, what: str):
-        """Fork a child that sends each bytes-like frame ``work()`` returns,
-        and return an iterator over the frames, each a writable ``bytearray``,
+        """Fork a child that writes each bytes-like block ``work()`` returns
+        to a pipe, and return an iterator over the bytes read back, in order,
         that closes the pipe and reaps the child once they end.  If ``work``
         raises, the child writes the traceback to stderr and exits with
         status 1; a non-zero exit status raises ``ChildProcessError`` naming
@@ -71,9 +67,7 @@ class Children:
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
-                    for frame in work():
-                        pipe.write(len(frame).to_bytes(8, "little"))
-                        pipe.write(frame)
+                    pipe.writelines(work())
                 status = 0
             except BaseException:
                 import traceback
@@ -84,21 +78,13 @@ class Children:
         os.close(write_fd)
         reader = open(read_fd, "rb")
         self._pids[reader] = pid
-        return self._frames(reader, what)
+        return self._read(reader, what)
 
-    def _frames(self, reader, what: str):
-        # ``yield from`` holds no frame it has passed on; the caller may free it.
-        yield from iter(partial(_next_frame, reader), None)
+    def _read(self, reader, what: str):
+        # Buffered reads give whole chunks but the last; reads cut short fragmented the heap.
+        yield from iter(partial(reader.read, 1 << 16), b"")
         reader.close()
         status = os.waitstatus_to_exitcode(os.waitpid(self._pids.pop(reader), 0)[1])
         if status:
             raise ChildProcessError(f"{what} failed in a child process (exit status {status})")
 
-
-def _next_frame(reader):
-    """The next frame on ``reader``; None at the pipe's end, or a frame cut short."""
-    size = reader.read(8)
-    if len(size) < 8:
-        return None
-    frame = bytearray(int.from_bytes(size, "little"))
-    return frame if reader.readinto(frame) == len(frame) else None

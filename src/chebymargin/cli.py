@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import cheby_core, landscape, verif_metrics
+from . import cheby_core, fileio, landscape, verif_metrics
 from .losses import CosineBatch, LossKind, LossSpec, loss_grad_check
 from .toytrain import TrainConfig, train
 
@@ -186,6 +186,8 @@ def _cmd_train(args) -> int:
         samples_per_class=args.samples_per_class,
         spread=args.spread,
     )
+    for path in (args.out, summary_path):  # before training, not after it
+        fileio.check_writable(path)
     telemetry = train(config)
     telemetry.write_csv(args.out)
     telemetry.write_summary(summary_path)

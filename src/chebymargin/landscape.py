@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain
 
 import numpy as np
 
 from . import _forking, cheby_core
-from .fileio import LINES_PER_WRITE, write_lines_atomic
+from .fileio import LINES_PER_WRITE, encode_lines, write_bytes_atomic
 from .losses import CosineBatch, LossSpec, binary_derivative_surface, loss_forward
 
 # The exact second derivative grows like (1 - x^2)^{-3/2}; within this
@@ -82,11 +82,9 @@ def export_curves(
         columns[f"cheb{degree}"], columns[f"cheb{degree}_d1"] = value, deriv
         columns[f"cheb{degree}_d2"] = cheby_core.series_hessian(series, x)
 
-    bundle = CurveBundle(x=x, columns=columns)
     if out_path is not None:
-        header = "x," + ",".join(columns)
-        _write_rows(out_path, header, x.size, partial(_curve_rows, x, columns))
-    return bundle
+        _write_rows(out_path, "x," + ",".join(columns), x.size, partial(_curve_rows, x, columns))
+    return CurveBundle(x=x, columns=columns)
 
 
 def _curve_rows(x: np.ndarray, columns: dict, start: int, stop: int):
@@ -115,12 +113,10 @@ def export_surfaces(specs, grid_n: int, out_path: str | None = None) -> SurfaceB
             raise ValueError(f"duplicate loss kind {label} in surface export")
         axis, surfaces[label] = binary_derivative_surface(spec, grid_n)
 
-    bundle = SurfaceBundle(axis=axis, surfaces=surfaces)
     if out_path is not None:
-        n_rows = len(surfaces) * axis.size**2
         rows = partial(_surface_rows, axis, surfaces)
-        _write_rows(out_path, "loss,s_p,s_n,dL_dsp", n_rows, rows)
-    return bundle
+        _write_rows(out_path, "loss,s_p,s_n,dL_dsp", len(surfaces) * axis.size**2, rows)
+    return SurfaceBundle(axis=axis, surfaces=surfaces)
 
 
 def _surface_rows(axis: np.ndarray, surfaces: dict, start: int, stop: int):
@@ -139,43 +135,35 @@ def _surface_rows(axis: np.ndarray, surfaces: dict, start: int, stop: int):
 
 
 def _write_rows(out_path: str, header: str, n_rows: int, format_rows) -> None:
-    """Write ``header`` and rows ``[0, n_rows)`` through ``write_lines_atomic``,
+    """Write ``header`` and rows ``[0, n_rows)`` through ``write_bytes_atomic``,
     formatted on every CPU the process may use.
 
     ``format_rows(start, stop)`` gives rows ``[start, stop)`` as lines.  The
     rows split into contiguous shares, one per CPU in the affinity mask, but
-    none shorter than one write batch of ``LINES_PER_WRITE`` lines.  This
-    process formats share 0 while a forked child formats each other share;
-    the children's rows are relayed after it in share order, so the bytes
-    are those of a single process.  A child that fails makes the write raise
-    before the rename, and every child is reaped before this returns or
-    raises.
+    none shorter than one ``encode_lines`` block.  This process encodes the
+    header and share 0 while a forked child encodes each other share; the
+    children's bytes follow unchanged, in share order, so the file is that
+    of a single process.  A child that fails makes the write raise before
+    the rename, and every child is reaped before this returns or raises.
     """
     shares = max(1, min(_forking.usable_cpus(), n_rows // LINES_PER_WRITE))
     bounds = [n_rows * k // shares for k in range(shares + 1)]
     with _forking.Children() as children:
-        share_frames = [
+        share_bytes = [
             children.start(
                 partial(_share_blocks, format_rows, start, stop),
                 f"formatting CSV rows {start}..{stop - 1}",
             )
             for start, stop in zip(bounds[1:-1], bounds[2:])
         ]
-        own = format_rows(0, bounds[1])
-        # Through ``map``, no frame outlives its decoding, nor text its split.
-        texts = map(bytearray.decode, chain.from_iterable(share_frames))
-        relayed = chain.from_iterable(map(str.split, texts, repeat("\n")))
-        write_lines_atomic(out_path, chain([header], own, relayed))
+        own = encode_lines(chain([header], format_rows(0, bounds[1])))
+        write_bytes_atomic(out_path, chain(own, *share_bytes))
 
 
 def _share_blocks(format_rows, start: int, stop: int) -> list:
-    """Rows ``[start, stop)``, formatted into memory before any is sent, as
-    encoded blocks of ``LINES_PER_WRITE`` rows."""
-    rows = iter(format_rows(start, stop))
-    blocks = []
-    while block := list(islice(rows, LINES_PER_WRITE)):
-        blocks.append("\n".join(block).encode())
-    return blocks
+    """Rows ``[start, stop)`` as ``encode_lines`` blocks, all formatted before
+    any is sent, so no child blocks on its pipe while share 0 is formatted."""
+    return list(encode_lines(format_rows(start, stop)))
 
 
 def derivative_gap(spec: LossSpec) -> GapReport:

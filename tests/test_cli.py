@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from chebymargin import verif_metrics
+from chebymargin import cli, verif_metrics
 from chebymargin.cli import SEED_ENV, build_parser, main
 from chebymargin.losses import (
     LARGE_GRAD,
@@ -399,6 +399,34 @@ class TestTrainCommand:
         assert (tmp_path / "telemetry.csv.summary").exists()
         assert "nan_seen=false" in out
 
+    @pytest.mark.parametrize(
+        "out, dirs, message",
+        [
+            pytest.param("d", ["d"], "[Errno 21] Is a directory: '{}'", id="out-dir"),
+            pytest.param(
+                "missing/x.csv", [], "[Errno 2] No such file or directory: '{}'", id="no-parent"
+            ),
+            pytest.param(
+                "t.csv", ["t.csv.summary"], "[Errno 21] Is a directory: '{}.summary'",
+                id="summary-dir",
+            ),
+        ],
+    )
+    def test_unwritable_output_is_refused_before_training(
+        self, capsys, tmp_path, monkeypatch, out, dirs, message
+    ):
+        """Each output path fails as its write would, before any training
+        or file: a directory at the summary path leaves no CSV behind."""
+        for name in dirs:
+            (tmp_path / name).mkdir()
+        trained = []
+        monkeypatch.setattr(cli, "train", trained.append)
+        out_path = str(tmp_path / out)
+        code, stdout, err = run_cli(capsys, "train", "--out", out_path)
+        assert (code, stdout, trained) == (1, "", [])
+        assert err.endswith(f"chebymargin train: error: {message.format(out_path)}\n")
+        assert sorted(os.listdir(tmp_path)) == dirs
+        assert all(os.listdir(tmp_path / name) == [] for name in dirs)
 
     def test_removed_loss_kind_is_refused(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"

@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from chebymargin.fileio import write_lines_atomic
+from chebymargin.fileio import check_writable, write_bytes_atomic, write_lines_atomic
 
 
 def test_lines_end_with_newline(tmp_path):
@@ -14,6 +14,32 @@ def test_lines_end_with_newline(tmp_path):
     assert path.read_bytes() == b"a,b\n\nc\n"
     write_lines_atomic(str(path), [])
     assert path.read_bytes() == b""
+
+
+def test_blocks_written_as_they_are(tmp_path):
+    path = tmp_path / "out.bin"
+    write_bytes_atomic(str(path), iter([b"", bytearray(b"a\n"), memoryview(b"\xffb"), b""]))
+    assert path.read_bytes() == b"a\n\xffb"
+
+
+def test_writable_check_writes_nothing(tmp_path):
+    """A writable new or existing target passes, and no file is made or
+    changed."""
+    (tmp_path / "old.csv").write_bytes(b"old\n")
+    check_writable(str(tmp_path / "old.csv"))
+    check_writable(str(tmp_path / "new.csv"))
+    assert os.listdir(tmp_path) == ["old.csv"]
+    assert (tmp_path / "old.csv").read_bytes() == b"old\n"
+
+
+def test_link_to_a_directory_is_writable(tmp_path):
+    """The rename replaces a link to a directory, so the check passes it."""
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    check_writable(str(tmp_path / "link"))
+    write_lines_atomic(str(tmp_path / "link"), ["x"])
+    assert (tmp_path / "link").read_bytes() == b"x\n"
+    assert os.listdir(tmp_path / "d") == []
 
 
 def test_long_stream_written_whole(tmp_path):

@@ -2,6 +2,7 @@
 small size and checked by what it writes."""
 
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -117,3 +118,28 @@ def test_bad_input_is_refused_before_any_write(tmp_path, name, argv, message):
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"{name}: error: {message}\n"
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "name, outdir, message",
+    [
+        pytest.param(
+            "stability_comparison.py", "file", "[Errno 17] File exists: '{}'", id="stability"
+        ),
+        pytest.param(
+            "export_figure_data.py", "file/out", "[Errno 20] Not a directory: '{}'", id="figures"
+        ),
+    ],
+)
+def test_unusable_outdir_is_refused_in_one_line(tmp_path, name, outdir, message):
+    """An ``--outdir`` that is a file, or lies under one, is refused like a
+    bad value, and the file is left as it was."""
+    (tmp_path / "file").write_bytes(b"old\n")
+    outdir = str(tmp_path / outdir)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), "--outdir", outdir], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"{name}: error: {message.format(outdir)}\n"
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_bytes() == b"old\n"
