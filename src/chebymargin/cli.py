@@ -161,6 +161,7 @@ def _cmd_landscape(args) -> int:
     # Both lists are checked whatever the kind, so neither is ignored unread.
     degrees = _comma_list("--degrees", args.degrees, int, "degree")
     kinds = _comma_list("--losses", args.losses, LossKind, "loss kind")
+    fileio.check_writable(args.out)  # before any fork or formatting
     if args.kind == "curves":
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:

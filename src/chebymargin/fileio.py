@@ -51,6 +51,8 @@ def check_writable(path: str) -> None:
 
 
 def _open_temp(path: str):
+    if not path:  # as ``open("")`` does; its abspath would be the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}")
     try:

@@ -10,6 +10,7 @@ sign.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -111,9 +112,8 @@ def compute_min_dcf(trials: Trials, params: DcfParams = DcfParams()) -> float:
 
 _SCORE_FORMAT = "'enroll test score'"
 _TRIAL_FORMAT = "'label enroll test' with label 0/1"
-# Characters read at a time, each block then completed to its next newline;
-# only one block's tokens are alive.
-_BLOCK_CHARS = 1 << 20
+# Bytes read at a time, so only one block's tokens are alive.
+_BLOCK_BYTES = 1 << 20
 # Rows whose keys ``_same_keys`` compares at a time.
 _COMPARE_ROWS = 16384
 # Zero bytes after a block's bytes: a key's 8-byte words end at most 7
@@ -122,6 +122,9 @@ _PAD = bytes(8)
 # Odd 64-bit multipliers of ``_key_hash``'s mix.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _FINISH = np.uint64(0xBF58476D1CE4E5B9)
+# The bytes ``str.split`` splits on: ASCII whitespace and 0x1c-0x1f, not NUL.
+_SEPARATORS = np.isin(np.arange(256), list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "))
+_NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")  # what else ``str.split`` splits on
 
 
 def _key_hash(words: np.ndarray, length: int) -> np.ndarray:
@@ -152,134 +155,131 @@ def _padded_keys(data: np.ndarray, starts: np.ndarray, length: int) -> np.ndarra
     return keys
 
 
-def _single_spaced(text: str, key_at: int, value_at: int):
-    """The field positions of ``text``'s lines, or ``None`` unless each
-    line is three non-empty fields joined by single spaces.
-
-    ``text`` is ASCII and ends in a newline.  One scan of its bytes finds
-    every byte of at most 0x20: they must be space, space, newline for
-    each line in turn, with at least one other byte before each.  Returns
-    ``(data, key_starts, key_lengths, value_starts, value_lengths)``:
-    the bytes followed by ``_PAD``, and per line the offset and byte
-    length of its key, which is fields ``key_at`` and ``key_at + 1`` and
-    the space between them, and of its field ``value_at``.
-    """
-    data = np.frombuffer(text.encode() + _PAD, dtype=np.uint8)
-    marks = np.flatnonzero(data[: len(text)] <= 0x20)
-    if data[marks].tobytes() != b"  \n" * (marks.size // 3):
-        return None
-    bounds = np.concatenate(([-1], marks))
-    if np.diff(bounds).min() < 2:
-        return None
-    return _fields(data, bounds, key_at, value_at)
-
-
-def _fields(data, bounds, key_at: int, value_at: int):
-    """``(data, key_starts, key_lengths, value_starts, value_lengths)`` of
-    rows of three fields each, where field k of row i lies strictly between
-    ``bounds[3 i + k]`` and the next bound; the first bound is -1."""
-    starts = bounds[:-1] + 1
+def _fields(data, starts, stops, key_at: int, value_at: int):
+    """``(data, key_starts, key_lengths, value_starts, value_lengths)`` of rows of
+    three fields each; field k of row i runs from ``starts[3i+k]`` up to ``stops[3i+k]``."""
     key_starts = starts[key_at::3]
     value_starts = starts[value_at::3]
-    key_lengths = (bounds[key_at + 2 :: 3] - key_starts).astype(np.int32)
-    value_lengths = bounds[value_at + 1 :: 3] - value_starts
+    key_lengths = (stops[key_at + 1 :: 3] - key_starts).astype(np.int32)
+    value_lengths = stops[value_at::3] - value_starts
     return data, key_starts, key_lengths, value_starts, value_lengths
 
 
-def _split_block(text: str, start: int, layout):
-    """Split ``text``, whose first line is line ``start``, line by line.
+def _blocks(fh):
+    """The binary file ``fh`` as blocks of whole lines: the partial line
+    the last block left and a read of ``_BLOCK_BYTES`` bytes, cut after its
+    last line end.  A last ``\\r`` waits, as the next read may start with
+    the ``\\n`` of its ``\\r\\n``; the last line is given a ``\\n``."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        block = rest + chunk
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        rest = block[cut:]
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest + b"\n"
 
-    Returns ``(rows, n_lines, error, fields)``: the index among the lines
-    of every line that is not blank, the number of lines, ``None`` or the
-    ``(line, message)`` of the first other line without exactly three
-    fields or the line of the first byte that is not UTF-8, and the
-    field positions (:func:`_fields`) of the rows before it, in ``data``
-    that holds their fields encoded, each followed by one space.
+
+def _tokenize(block: bytes, start: int, layout):
+    """Every field and line end of ``block``, whole lines from line
+    ``start`` on, found by one scan of its bytes for ``_SEPARATORS``.
+
+    Returns ``(rows, n_lines, error, fields, quote)``: the index among the
+    lines of every line that is not blank, the number of lines, ``None`` or
+    the ``(line, message)`` of the first line that is not three fields or
+    fails :func:`_text_error`, the field positions (:func:`_fields`) of the
+    rows before it, and a function quoting the line of row ``i``.
     """
     expected, key_at, value_at, _ = layout
-    lines = text.split("\n")
-    if text.endswith("\n"):
-        lines.pop()
-    n_lines, error = len(lines), None
-    # Each byte that is not UTF-8 was read as a lone surrogate, which
-    # strict encoding refuses.
-    if not text.isascii():
-        try:
-            text.encode()
-        except UnicodeEncodeError as exc:
-            k = text.count("\n", 0, exc.start)
-            byte = ord(text[exc.start]) - 0xDC00
-            error = start + k, f"cannot decode byte 0x{byte:02x} as UTF-8"
-            lines = lines[:k]
-    tokens = []
-    extend = tokens.extend
-    counts = np.fromiter(
-        (extend(fields) or len(fields) for fields in map(str.split, lines)),
-        dtype=np.intp,
-        count=len(lines),
-    )
-    rows = np.flatnonzero(counts)
+    data = np.frombuffer(block + _PAD, dtype=np.uint8)
+    marks = np.flatnonzero(data[: len(block)] <= 0x20)
+    marks = marks[_SEPARATORS[data[marks]]]
+    byte = data[marks]
+    # The \r of a \r\n separates two fields; its \n ends the line.
+    is_end = (byte == 0x0A) | ((byte == 0x0D) & (data[marks + 1] != 0x0A))
+    ends = marks[is_end]
+    # A field lies strictly between two separators, on the line of the second.
+    bounds = np.concatenate(([-1], marks))
+    at = np.flatnonzero(np.diff(bounds) > 1)
+    starts, stops = bounds[at] + 1, marks[at]
+    counts = np.bincount((np.cumsum(is_end) - is_end)[at], minlength=ends.size)
+    limit, problem = (ends.size, None) if block.isascii() else _text_error(block, ends)
+    error = None if problem is None else (start + limit, problem)
+    rows = np.flatnonzero(counts[:limit])
+
+    def quote(i):
+        row = int(rows[i])
+        first = int(ends[row - 1]) + 1 if row else 0
+        return block[first : ends[row]].decode().strip()
+
     bad = np.flatnonzero(counts[rows] != 3)
     if bad.size:
         k = int(bad[0])
-        row = int(rows[k])
-        error = start + row, f"expected {expected}, got {lines[row].strip()!r}"
-        rows, tokens = rows[:k], tokens[: 3 * k]
-    # No token holds a space, so the space written after each bounds it.
-    data = np.frombuffer(" ".join(tokens).encode() + b" " + _PAD, dtype=np.uint8)
-    bounds = np.concatenate(([-1], np.flatnonzero(data == 0x20)[: len(tokens)]))
-    return rows, n_lines, error, _fields(data, bounds, key_at, value_at)
+        error = start + int(rows[k]), f"expected {expected}, got {quote(k)!r}"
+        rows = rows[:k]
+    starts, stops = starts[: 3 * rows.size], stops[: 3 * rows.size]
+    gaps = stops[key_at::3]
+    if not (np.array_equal(starts[key_at + 1 :: 3], gaps + 1) and np.all(data[gaps] == 0x20)):
+        data, starts, stops = _respaced(data, starts, stops)
+    return rows, ends.size, error, _fields(data, starts, stops, key_at, value_at), quote
+
+
+def _text_error(block: bytes, ends):
+    """``(k, message)`` for the first byte of ``block`` that is not UTF-8
+    or starts non-ASCII whitespace, on line ``k`` (ending at ``ends[k]``),
+    else ``(len(ends), None)``.  ``str.split`` would split on such
+    whitespace, which the scan cannot see: taking it into an id would be
+    silent coercion."""
+    try:
+        text, at, message = block.decode(), len(block), None
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        text, message = block[:at].decode(), f"cannot decode byte 0x{block[at]:02x} as UTF-8"
+    if space := _NON_ASCII_SPACE.search(text):
+        at = len(text[: space.start()].encode())
+        message = f"cannot split on non-ASCII whitespace U+{ord(space.group()):04X}"
+    return int(np.searchsorted(ends, at)), message
+
+
+def _respaced(data, starts, stops):
+    """The fields of ``data`` from ``starts`` up to ``stops``, each
+    followed by one space, then ``_PAD``; and their starts and stops in it."""
+    widths = stops - starts + 1
+    new_stops = np.cumsum(widths) - 1
+    new_starts = new_stops + 1 - widths
+    index = np.repeat(starts - new_starts, widths) + np.arange(new_stops[-1] + 1)
+    spaced = np.append(data[index], np.zeros(len(_PAD), np.uint8))
+    spaced[new_stops] = 0x20
+    return spaced, new_starts, new_stops
 
 
 def _row_blocks(path: str, layout):
-    """Read a three-field-per-line file once, a block at a time: about
-    ``_BLOCK_CHARS`` characters, completed to the next newline.
+    """Read a three-field-per-line file once, a block of whole lines at a
+    time (:func:`_blocks`, :func:`_tokenize`).
 
     Yields ``(start, rows, data, key_starts, key_lengths, values, error)``
     per block: the 1-based number of its first line, the index among its
     lines of every row, bytes holding each row's key at its offset and
-    byte length, each row's value, and ``None`` or the ``(line,
-    message)`` of a line that ends the read; the block holding that line
-    is the last one yielded.  Blank lines are skipped.
-
-    A block that is ASCII, ends in a newline and holds only single-spaced
-    lines is read at the positions of one scan (:func:`_single_spaced`);
-    any other block is split line by line (:func:`_split_block`), which
-    names a line without three fields or with a byte that is not UTF-8.
-    Either way each value is parsed at its position by the layout's one
-    value parser, which names the first bad value: a single-spaced block
-    with a bad value is not split.
+    byte length, each row's value as the layout's one value parser reads
+    it, and ``None`` or the ``(line, message)`` of the first bad line, in
+    which case the block is the last one yielded.
     """
-    _, key_at, value_at, parse = layout
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        start, error = 1, None
-        while error is None and (text := fh.read(_BLOCK_CHARS)):
-            if not text.endswith("\n"):
-                text += fh.readline()
-            fields = None
-            if text.isascii() and text.endswith("\n"):
-                fields = _single_spaced(text, key_at, value_at)
-            if fields is None:
-                rows, n_lines, error, fields = _split_block(text, start, layout)
-            else:
-                n_lines = fields[1].size
-                rows = np.arange(n_lines)
+    with open(path, "rb") as fh:
+        start = 1
+        for block in _blocks(fh):
+            rows, n_lines, error, fields, quote = _tokenize(block, start, layout)
             data, key_starts, key_lengths, value_starts, value_lengths = fields
-            values, bad = parse(
-                data, value_starts, value_lengths, lambda i: _line(text, int(rows[i]))
-            )
+            values, bad = layout[3](data, value_starts, value_lengths, quote)
             n = rows.size
             if bad is not None:
-                # The split stops before its own error, so a bad value is earlier.
+                # The rows stop before the block's own error, so a bad value is earlier.
                 n, message = bad
                 error = start + int(rows[n]), message
             yield start, rows[:n], data, key_starts[:n], key_lengths[:n], values[:n], error
+            if error is not None:
+                return
             start += n_lines
-
-
-def _line(text: str, k: int) -> str:
-    """Line ``k`` of ``text``, counted from 0, stripped for a message."""
-    return text.split("\n", k + 1)[k].strip()
 
 
 def _raise_first(path: str, *errors) -> None:
@@ -393,8 +393,6 @@ def _key_columns(path: str, layout) -> _KeyColumns:
             column += padded.data
             hashes[at] = _key_hash(padded.view(np.uint64), length)
         parts.append((hashes, lengths, slots, (start + rows).astype(np.int32), values))
-        if error is not None:
-            break
     # One column at a time, its parts freed as it is joined, so at most one
     # column is held twice.
     columns = list(zip(*parts))
@@ -531,23 +529,24 @@ def parse_trials(trial_file: str, scores_file: str) -> Trials:
     label, score value) wins over a join error (duplicate, missing pair).
     The output preserves trial-file order.
 
-    Each file is read once, in blocks of about ``_BLOCK_CHARS`` characters
-    completed to the next newline, into key columns.  In a block of ASCII
-    lines that are each three non-empty fields joined by single spaces,
-    one numpy scan of its bytes finds every field; any other block is
-    split line by line and its fields written out, each followed by a
-    space, at positions of their own.  Each key and value is then
-    gathered from the bytes at its position, and each value parsed there
-    by one parser per kind: a label is the byte 0 or 1, and a score is
-    what ``float`` reads.  A bad value is named from its position, with
-    no second split of its block.  The columns hold per row a 64-bit
-    hash of the key's 8-byte words, the key's bytes zero-padded to whole
-    words, the line number and the score or label.  Both files' columns
-    are held for the join, which sorts the score hashes, looks up the
-    trial hashes and confirms every match on the key bytes; if two
-    distinct keys share a hash, the join is redone on exact key numbers.
-    Both files are read in this process, the score file first.  There is
-    no option.
+    Each file is read once, in binary blocks of ``_BLOCK_BYTES`` bytes,
+    each block's partial last line carried over to the next, into key
+    columns.  One numpy scan of a block's bytes finds every field and line
+    end: the fields are separated by the bytes ``str.split`` splits on
+    (ASCII whitespace and 0x1c-0x1f, not NUL), and ``\\n``, ``\\r\\n``
+    and a lone ``\\r`` end a line.  A block with a byte of 0x80 or more is
+    decoded strictly once: a byte that is not UTF-8, or non-ASCII
+    whitespace, on which ``str.split`` would split and the scan cannot, is
+    named with its line.  Each key and value is then gathered from the
+    bytes at its position, and each value parsed there by one parser per
+    kind: a label is the byte 0 or 1, and a score is what ``float`` reads.
+    The columns hold per row a 64-bit hash of the key's 8-byte words, the
+    key's bytes zero-padded to whole words, the line number and the score
+    or label.  Both files' columns are held for the join, which sorts the
+    score hashes, looks up the trial hashes and confirms every match on
+    the key bytes; if two distinct keys share a hash, the join is redone
+    on exact key numbers.  Both files are read in this process, the score
+    file first.  There is no option.
     """
     scores, unique = _sorted_scores(_key_columns(scores_file, _SCORES), scores_file)
     if not unique:

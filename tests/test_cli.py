@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from chebymargin import cli, verif_metrics
+from conftest import fake_cpus
+
+from chebymargin import _forking, cli, landscape, verif_metrics
 from chebymargin.cli import SEED_ENV, build_parser, main
 from chebymargin.losses import (
     LARGE_GRAD,
@@ -25,6 +27,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_work(monkeypatch):
+    """The list of calls to ``cli.train``, ``Children.start`` and the two
+    landscape row formatters, each still made, on two CPUs."""
+    fake_cpus(monkeypatch, 2)
+    calls = []
+    for owner, name in [
+        (cli, "train"), (_forking.Children, "start"),
+        (landscape, "_surface_rows"), (landscape, "_curve_rows"),
+    ]:
+        def record(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+    return calls
 
 
 class TestCoeffs:
@@ -377,6 +396,34 @@ class TestLandscapeCommand:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, grid", [("curves", "4001"), ("surfaces", "101")])
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            pytest.param("d", "[Errno 21] Is a directory: '{}'", id="out-dir"),
+            pytest.param(
+                "missing/x.csv", "[Errno 2] No such file or directory: '{}'", id="no-parent"
+            ),
+            pytest.param("", "[Errno 2] No such file or directory: ''", id="empty"),
+        ],
+    )
+    def test_unwritable_output_is_refused_before_any_fork(
+        self, capsys, tmp_path, monkeypatch, kind, grid, out, message
+    ):
+        """An --out the write would refuse fails as the write would, before
+        a child is forked or a row formatted, on a grid big enough to fork;
+        ``""`` makes no file next to the working directory."""
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path / "d")
+        calls = record_work(monkeypatch)
+        out_path = str(tmp_path / out) if out else ""
+        code, stdout, err = run_cli(
+            capsys, "landscape", "--kind", kind, "--grid", grid, "--out", out_path
+        )
+        assert (code, stdout, calls) == (1, "", [])
+        assert err.endswith(f"chebymargin landscape: error: {message.format(out_path)}\n")
+        assert (os.listdir(tmp_path), os.listdir(tmp_path / "d")) == (["d"], [])
+
     def test_missing_directory_error_names_the_out_path(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "c.csv"
         code, _, err = run_cli(capsys, "landscape", "--kind", "curves", "--out", str(out_path))
@@ -427,6 +474,17 @@ class TestTrainCommand:
         assert err.endswith(f"chebymargin train: error: {message.format(out_path)}\n")
         assert sorted(os.listdir(tmp_path)) == dirs
         assert all(os.listdir(tmp_path / name) == [] for name in dirs)
+
+    def test_empty_out_is_refused_before_training(self, capsys, tmp_path, monkeypatch):
+        """``--out ''`` fails as its write would, before any training, and
+        makes no file in or next to the working directory."""
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        calls = record_work(monkeypatch)
+        code, stdout, err = run_cli(capsys, "train", "--out", "")
+        assert (code, stdout, calls) == (1, "", [])
+        assert err.endswith("chebymargin train: error: [Errno 2] No such file or directory: ''\n")
+        assert (os.listdir(tmp_path), os.listdir(tmp_path / "cwd")) == (["cwd"], [])
 
     def test_removed_loss_kind_is_refused(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"

@@ -32,6 +32,24 @@ def test_writable_check_writes_nothing(tmp_path):
     assert (tmp_path / "old.csv").read_bytes() == b"old\n"
 
 
+def test_empty_path_is_refused_before_any_work(tmp_path, monkeypatch):
+    """``""`` fails as ``open("")`` does in both helpers, before a block is
+    asked for, and no file is made in or next to the working directory."""
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    asked = []
+
+    def blocks():
+        asked.append(None)
+        yield b"x\n"
+
+    for call in (check_writable, lambda path: write_bytes_atomic(path, blocks())):
+        with pytest.raises(FileNotFoundError) as info:
+            call("")
+        assert str(info.value) == "[Errno 2] No such file or directory: ''"
+    assert (asked, os.listdir(tmp_path), os.listdir(tmp_path / "cwd")) == ([], ["cwd"], [])
+
+
 def test_link_to_a_directory_is_writable(tmp_path):
     """The rename replaces a link to a directory, so the check passes it."""
     (tmp_path / "d").mkdir()

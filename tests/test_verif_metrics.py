@@ -4,6 +4,7 @@ import contextlib
 import math
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -94,18 +95,15 @@ def assert_matches_reference(trial_file, scores_file):
 
 
 @contextlib.contextmanager
-def parsing(block_chars, per_line=False):
-    """Context in which ``parse_trials`` reads blocks of ``block_chars``
-    characters, each completed to its next newline, and splits every block
-    line by line if ``per_line``.  The process has two CPUs, and a fork
-    fails the test: both files are read in this process.
+def parsing(block_bytes):
+    """Context in which ``parse_trials`` reads ``block_bytes`` bytes at a
+    time.  The process has two CPUs, and a fork fails the test: both files
+    are read in this process.
 
     Hypothesis tests may not take the function-scoped ``monkeypatch``.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
-        if per_line:
-            patch.setattr(verif_metrics, "_single_spaced", lambda *args: None)
+        patch.setattr(verif_metrics, "_BLOCK_BYTES", block_bytes)
         fake_cpus(patch, 2, 0)
         yield
 
@@ -341,15 +339,15 @@ class TestParseTrials:
                     self.write(tmp_path, "s.txt", f"a x 0.1\nb y {raw}\n"),
                 )
 
-    @pytest.mark.parametrize("block_chars", [1, verif_metrics._BLOCK_CHARS])
-    def test_float_decides_on_the_text(self, tmp_path, block_chars):
+    @pytest.mark.parametrize("block_bytes", [1, verif_metrics._BLOCK_BYTES])
+    def test_float_decides_on_the_text(self, tmp_path, block_bytes):
         """``float`` reads a score in any script's digits, as in the text:
         ``\u0661`` is ARABIC-INDIC DIGIT ONE, whose UTF-8 bytes ``float``
         refuses.  A bad score after it is still named on its line."""
         trials = self.write(tmp_path, "t.txt", "1 a x\n0 b y\n")
         scores = self.write(tmp_path, "s.txt", "a x \u0661\nb y 0.5\n")
         bad_scores = self.write(tmp_path, "bad.txt", "a x \u0661\nb y 0.5\nc z x\n")
-        with parsing(block_chars):
+        with parsing(block_bytes):
             assert parse_trials(trials, scores).scores.tolist() == [1.0, 0.5]
             with pytest.raises(ValueError, match=r"bad\.txt:3: bad score 'x'$"):
                 parse_trials(trials, bad_scores)
@@ -435,18 +433,18 @@ class TestParseTrialsBlocks:
         ],
     )
     # One line per read; two lines per read of these 6- and 8-byte lines.
-    @pytest.mark.parametrize("block_chars", [1, 12])
+    @pytest.mark.parametrize("block_bytes", [1, 12])
     def test_first_error_wins_across_blocks(
-        self, tmp_path, monkeypatch, block_chars, trials, scores, message
+        self, tmp_path, monkeypatch, block_bytes, trials, scores, message
     ):
-        monkeypatch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(verif_metrics, "_BLOCK_BYTES", block_bytes)
         t, s = tmp_path / "t.txt", tmp_path / "s.txt"
         t.write_text(trials, encoding="utf-8")
         s.write_text(scores, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
             parse_trials(str(t), str(s))
 
-    @pytest.mark.parametrize("block_chars", [1, 9, verif_metrics._BLOCK_CHARS])
+    @pytest.mark.parametrize("block_bytes", [1, 9, verif_metrics._BLOCK_BYTES])
     @pytest.mark.parametrize(
         "trials, scores, message",
         [
@@ -477,9 +475,9 @@ class TestParseTrialsBlocks:
         ],
     )
     def test_undecodable_byte_names_its_line(
-        self, tmp_path, monkeypatch, block_chars, trials, scores, message
+        self, tmp_path, monkeypatch, block_bytes, trials, scores, message
     ):
-        monkeypatch.setattr(verif_metrics, "_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(verif_metrics, "_BLOCK_BYTES", block_bytes)
         t, s = tmp_path / "t.txt", tmp_path / "s.txt"
         t.write_bytes(trials)
         s.write_bytes(scores)
@@ -488,28 +486,50 @@ class TestParseTrialsBlocks:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_every_block_size_gives_the_oracle_join(self, tmp_path, newline):
-        """Blocks of every size from one character to the whole file, so a
-        boundary falls in each line and between each two lines.  A blank
-        line and a tab send blocks down the per-line split; the last line
-        has no newline."""
+        """Blocks of every size from one byte to the whole file, so a
+        boundary falls in each line and between each two lines, around a
+        blank line, a tab and a whitespace-only line; the last line has no
+        newline."""
         trials = newline.join(["1 a x", "0 b\ty", "", "1 c z", "0 d w"])
         scores = newline.join(["c z 0.3", "a x 0.1", "  ", "b y 0.2", "d w 0.4"])
         t, s = write_pair(tmp_path, trials, scores)
-        for block_chars in range(1, len(scores) + 2):
-            with parsing(block_chars):
+        for block_bytes in range(1, len(scores) + 2):
+            with parsing(block_bytes):
                 assert_matches_reference(t, s)
 
-    @pytest.mark.parametrize("block_chars", [1, 8182, 8190, verif_metrics._BLOCK_CHARS])
-    def test_crlf_split_between_two_reads_of_the_file(self, tmp_path, block_chars):
-        """A CRLF whose ``\\r`` is the last byte of the first 8192-byte read
-        of the file and whose ``\\n`` starts the next ends one line."""
+    def test_lone_cr_file_is_read_in_bounded_blocks(self, tmp_path, monkeypatch):
+        """A lone-CR pair spanning many 64-byte reads gives the oracle join,
+        and no block is longer than a read and one line: a reader that
+        completed each block with ``readline`` would take the rest of a file
+        with no ``\\n`` as one block."""
+        trials = "".join(f"{k % 2} e{k} t{k}\r" for k in range(200))
+        scores = "".join(f"e{k} t{k} {k / 8}\r" for k in reversed(range(200)))
+        t, s = write_pair(tmp_path, trials, scores)
+        longest = max(map(len, (trials + scores).split("\r"))) + 1
+        sizes = []
+        tokenize = verif_metrics._tokenize
+
+        def spy(block, *args):
+            sizes.append(len(block))
+            return tokenize(block, *args)
+
+        monkeypatch.setattr(verif_metrics, "_tokenize", spy)
+        with parsing(64):
+            assert_matches_reference(t, s)
+        assert len(sizes) >= (len(trials) + len(scores)) // (64 + longest)
+        assert max(sizes) <= 64 + longest
+
+    @pytest.mark.parametrize("block_bytes", [1, 8182, 8190, 8192, verif_metrics._BLOCK_BYTES])
+    def test_crlf_split_between_two_reads_of_the_file(self, tmp_path, block_bytes):
+        """A CRLF whose ``\\r`` is the last byte of a read of the file (the
+        first 8192 bytes) and whose ``\\n`` starts the next ends one line."""
         first = "L" * 8175 + " x 0.5\r\n"
         scores = first + "b y 0.25\r\n" + "c z 0.75\r\n"
         assert scores.index("\r\n", len(first)) == 8191
         t, s = tmp_path / "t.txt", tmp_path / "s.txt"
         t.write_bytes(b"1 b y\r\n0 c z\r\n")
         s.write_bytes(scores.encode())
-        with parsing(block_chars):
+        with parsing(block_bytes):
             trials = parse_trials(str(t), str(s))
         assert (trials.scores.tolist(), trials.is_target.tolist()) == ([0.25, 0.75], [True, False])
 
@@ -600,23 +620,20 @@ def write_lines(data, directory, name, lines):
     return path
 
 
-# The default block and 16-character blocks, whose boundaries fall inside
-# lines and between rows, blank lines and bad lines alike; then the default
-# block with every block split line by line, so each property checks both
-# tokenizers.
+# The default block and 16-byte blocks, whose boundaries fall inside lines
+# and between rows, blank lines and bad lines alike.
 READS = pytest.mark.parametrize(
-    "block_chars, per_line",
+    "block_bytes",
     [
-        pytest.param(verif_metrics._BLOCK_CHARS, False, id="block"),
-        pytest.param(16, False, id="block16"),
-        pytest.param(verif_metrics._BLOCK_CHARS, True, id="per-line"),
+        pytest.param(verif_metrics._BLOCK_BYTES, id="block"),
+        pytest.param(16, id="block16"),
     ],
 )
 
 
 class TestParseTrialsProperties:
     @READS
-    def test_matches_reference_join(self, block_chars, per_line):
+    def test_matches_reference_join(self, block_bytes):
         @given(st.data())
         @settings(max_examples=200, deadline=None)
         def check(data):
@@ -624,7 +641,7 @@ class TestParseTrialsProperties:
             with tempfile.TemporaryDirectory() as directory:
                 t = write_lines(data, directory, "t.txt", trial_lines)
                 s = write_lines(data, directory, "s.txt", score_lines)
-                with parsing(block_chars, per_line):
+                with parsing(block_bytes):
                     trials = parse_trials(t, s)
                 scores, is_target = reference_join(t, s)
             assert trials.scores.tolist() == scores
@@ -633,7 +650,7 @@ class TestParseTrialsProperties:
         check()
 
     @READS
-    def test_wrong_field_count_names_its_line(self, block_chars, per_line):
+    def test_wrong_field_count_names_its_line(self, block_bytes):
         """One to three bad lines of any kind at random lines of either file:
         the first bad line, score file first, is named as the line-by-line
         oracle names it.  Lines of 2 and 4 fields may sit next to each other,
@@ -678,43 +695,54 @@ class TestParseTrialsProperties:
                     expected = reference_join(t, s)
                 except ValueError as exc:
                     message = f"^{re.escape(str(exc))}"
-                    with parsing(block_chars, per_line), pytest.raises(
+                    with parsing(block_bytes), pytest.raises(
                         ValueError, match=message
                     ):
                         parse_trials(t, s)
                 else:
-                    with parsing(block_chars, per_line):
+                    with parsing(block_bytes):
                         trials = parse_trials(t, s)
                     assert (trials.scores.tolist(), trials.is_target.tolist()) == expected
 
         check()
 
 
-# Lines that must leave the single-spaced path: a separator that is not one
-# space (tab, the other ASCII whitespace ``str.split`` takes, two spaces),
-# a leading or trailing space, a blank line, a CR or CRLF line end, and an
-# id holding a NUL byte or non-ASCII whitespace.  The last three are two
-# fields whose two spaces and newline sit as a single-spaced line's do,
-# around an empty field.
-FALLBACK_KINDS = [
+# Lines the scan must split as ``str.split`` does: each other separator
+# than one space (tab, the other ASCII whitespace, two spaces), a leading or
+# trailing space, a blank line, a CR or CRLF line end, and an id holding a
+# NUL byte, which separates nothing.  The last three are two fields around
+# an empty field.
+LINE_KINDS = [
     "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "  ",
-    "leading", "trailing", "blank", "\r", "\r\n", "\xa0", "\u2028", "\x00",
+    "leading", "trailing", "blank", "\r", "\r\n", "\x00",
     "{0}  {1}", " {0} {1}", "{0} {1} ",
 ]
 
 
-def fallback_line(kind, fields):
+def kind_line(kind, fields):
     """A line of ``kind`` built from three fields, with its line end."""
     if "{0}" in kind:
         return kind.format(*fields) + "\n"
     line = " ".join(fields)
     if kind in ("\r", "\r\n"):
         return line + kind
-    if kind in ("\xa0", "\u2028", "\x00"):  # in the second field, an id
+    if kind == "\x00":  # in the second field, an id
         second = fields[1][:1] + kind + fields[1][1:]
         return f"{fields[0]} {second} {fields[2]}\n"
     special = {"leading": " " + line, "trailing": line + " ", "blank": ""}
     return special.get(kind, line.replace(" ", kind, 1)) + "\n"
+
+
+def single_spaced(path, out):
+    """Write ``path`` to ``out`` with LF line ends and each line of three
+    fields (``str.split``) joined by single spaces; a line of any other
+    field count is kept, so an error quotes it as it was."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    with open(out, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fields = line.split()
+            fh.write((" ".join(fields) if len(fields) == 3 else line) + "\n")
 
 
 def assert_same_columns(got, want):
@@ -728,13 +756,14 @@ def assert_same_columns(got, want):
     assert got.error == want.error
 
 
-class TestBlockTokenizers:
-    def test_mixed_blocks_give_the_per_line_columns(self):
-        """Files that mix single-spaced lines with lines of every kind that
-        must be split line by line, read in blocks of several sizes, give
-        the key columns of splitting every block line by line.  In about
-        half the files some scores are tokens such as ``1_0`` or ``0x10``:
-        ``float`` alone decides, on either path, what is a score."""
+class TestSeparators:
+    def test_mixed_lines_give_the_single_spaced_columns(self):
+        """Files that mix single-spaced lines with lines of every other
+        kind, read in blocks of several sizes, give the key columns of the
+        same file with each line split by ``str.split`` and written out
+        single-spaced: the same keys, values, line numbers and first error.
+        In about half the files some scores are tokens such as ``1_0`` or
+        ``0x10``: ``float`` alone decides what is a score."""
 
         @given(st.data())
         @settings(max_examples=200, deadline=None)
@@ -750,54 +779,59 @@ class TestBlockTokenizers:
                     fields = (enroll, test, value)
                 else:
                     fields = (data.draw(st.sampled_from("01")), enroll, test)
-                kind = data.draw(st.none() | st.sampled_from(FALLBACK_KINDS))
-                lines.append(" ".join(fields) + "\n" if kind is None else fallback_line(kind, fields))
+                kind = data.draw(st.none() | st.sampled_from(LINE_KINDS))
+                lines.append(" ".join(fields) + "\n" if kind is None else kind_line(kind, fields))
             text = "".join(lines)
             if data.draw(st.booleans()):  # no final newline
                 text = text[:-1]
-            block_chars = data.draw(st.sampled_from([1, 8, 16, 40, verif_metrics._BLOCK_CHARS]))
+            block_bytes = data.draw(st.sampled_from([1, 8, 16, 40, verif_metrics._BLOCK_BYTES]))
             with tempfile.TemporaryDirectory() as directory:
-                path = os.path.join(directory, "f.txt")
+                path, plain = os.path.join(directory, "f.txt"), os.path.join(directory, "p.txt")
                 with open(path, "wb") as fh:
                     fh.write(text.encode())
-                with parsing(block_chars):
-                    blocks = verif_metrics._key_columns(path, layout)
-                with parsing(block_chars, per_line=True):
-                    per_line = verif_metrics._key_columns(path, layout)
-            assert_same_columns(blocks, per_line)
+                single_spaced(path, plain)
+                with parsing(block_bytes):
+                    got = verif_metrics._key_columns(path, layout)
+                with parsing(verif_metrics._BLOCK_BYTES):
+                    want = verif_metrics._key_columns(plain, layout)
+            assert_same_columns(got, want)
 
         check()
 
-
     @pytest.mark.parametrize(
-        "trials, scores, message",
-        [
-            pytest.param(
-                "1 a x\n", "a x 0.1\nb y nope\n", r"s\.txt:2: bad score 'nope'$", id="score"
-            ),
-            pytest.param(
-                "1 a x\n2 b y\n",
-                "a x 0.1\nb y 0.2\n",
-                r"t\.txt:2: expected 'label enroll test' with label 0/1, got '2 b y'$",
-                id="label",
-            ),
-        ],
+        "code",
+        [c for c in range(0x80, sys.maxunicode + 1) if chr(c).isspace()],
+        ids="U+{:04X}".format,
     )
-    def test_bad_value_does_not_split_its_block(self, tmp_path, trials, scores, message):
-        """A single-spaced block with a bad value is named from its scan's
-        positions: the block is not split again line by line."""
+    def test_non_ascii_whitespace_is_refused_on_its_line(self, tmp_path, code):
+        """Every character of 0x80 or more that ``str.split`` splits on is
+        refused, as a separator or in an id, in either file: the scan does
+        not split on it, and taking it into an id would be silent coercion.
+        A byte that is not UTF-8 on an earlier line is named first, and
+        after a later one."""
+        space = chr(code).encode()
+        message = re.escape(f"cannot split on non-ASCII whitespace U+{code:04X}") + "$"
+        cases = [
+            (b"1 a x\n", b"a x 0.1\n\r\nb" + space + b"y 0.2\n", r"s\.txt:3: " + message),
+            (b"1 a x\r\n0 b y" + space + b"\r\n", SCORES_ABCD.encode(), r"t\.txt:2: " + message),
+            (
+                b"1 a x\n",
+                b"a x 0.1\nb y\xff 0.2\nc" + space + b"z 0.3\n",
+                r"s\.txt:2: cannot decode byte 0xff as UTF-8$",
+            ),
+            (b"1 a x\n", b"a x 0.1\nb" + space + b"y 0.2\nc z\xff 0.3\n", r"s\.txt:2: " + message),
+        ]
+        t, s = tmp_path / "t.txt", tmp_path / "s.txt"
+        for trials, scores, expected in cases:
+            t.write_bytes(trials)
+            s.write_bytes(scores)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + expected):
+                parse_trials(str(t), str(s))
 
-        def no_split(*args):
-            raise AssertionError("a single-spaced block was split line by line")
 
-        t, s = write_pair(tmp_path, trials, scores)
-        with parsing(verif_metrics._BLOCK_CHARS), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verif_metrics, "_split_block", no_split)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/" + message):
-                parse_trials(t, s)
-
-
-TOKENIZERS = pytest.mark.parametrize("per_line", [False, True], ids=["block", "per-line"])
+# Each file as written, and with every space a tab and a space, so that each
+# key is gathered from its two fields.
+SPACINGS = pytest.mark.parametrize("gap", [" ", "\t "], ids=["spaced", "tabbed"])
 # Keys of 7, 8, 9, 15, 16 and 17 bytes, and keys ending in NUL bytes whose
 # words equal those of the key without them.
 PADDED_KEYS = [
@@ -815,9 +849,9 @@ def write_pair(tmp_path, trials, scores):
 
 class TestParseTrialsKeys:
     """Every hash match is confirmed on the key bytes, and keys that share
-    a hash are joined exactly, by either tokenizer."""
+    a hash are joined exactly, whatever separates their fields."""
 
-    @TOKENIZERS
+    @SPACINGS
     @pytest.mark.parametrize(
         "key_hash",
         [
@@ -838,14 +872,14 @@ class TestParseTrialsKeys:
         ],
     )
     def test_shared_hashes_join_as_the_oracle(
-        self, tmp_path, monkeypatch, trials, scores, key_hash, per_line
+        self, tmp_path, monkeypatch, trials, scores, key_hash, gap
     ):
         monkeypatch.setattr(verif_metrics, "_key_hash", key_hash)
-        t, s = write_pair(tmp_path, trials, scores)
-        with parsing(12, per_line=per_line):
+        t, s = write_pair(tmp_path, trials.replace(" ", gap), scores.replace(" ", gap))
+        with parsing(12):
             assert_matches_reference(t, s)
 
-    @TOKENIZERS
+    @SPACINGS
     @pytest.mark.parametrize(
         "key_hash",
         [verif_metrics._key_hash, lambda words, length: np.zeros(len(words), np.int64)],
@@ -860,7 +894,7 @@ class TestParseTrialsKeys:
         ],
     )
     def test_unusual_ids_join_as_the_oracle(
-        self, tmp_path, monkeypatch, key_hash, extra_trial, per_line
+        self, tmp_path, monkeypatch, key_hash, extra_trial, gap
     ):
         """Ids ending in NUL bytes, non-ASCII ids whose byte length is not
         their length in characters, and one 10,000-character id among short
@@ -873,12 +907,12 @@ class TestParseTrialsKeys:
         ]
         scores = "".join(f"{e} {t} {k / 8}\n" for k, (e, t) in enumerate(reversed(pairs)))
         trials = "".join(f"{k % 2} {e} {t}\n" for k, (e, t) in enumerate(pairs)) + extra_trial
-        t, s = write_pair(tmp_path, trials, scores)
-        with parsing(12, per_line=per_line):
+        t, s = write_pair(tmp_path, trials.replace(" ", gap), scores.replace(" ", gap))
+        with parsing(12):
             assert_matches_reference(t, s)
 
-    @TOKENIZERS
-    @pytest.mark.parametrize("block_chars", [12, verif_metrics._BLOCK_CHARS])
+    @SPACINGS
+    @pytest.mark.parametrize("block_bytes", [12, verif_metrics._BLOCK_BYTES])
     @pytest.mark.parametrize(
         "trials, scores",
         [
@@ -902,13 +936,13 @@ class TestParseTrialsKeys:
         ],
     )
     def test_keys_either_side_of_a_word_join_as_the_oracle(
-        self, tmp_path, trials, scores, block_chars, per_line
+        self, tmp_path, trials, scores, block_bytes, gap
     ):
         """Keys of 7 to 17 bytes, padded to 8-byte words: the padding is
         zero and the length is part of the key, whatever bytes follow a key
         in its line."""
-        t, s = write_pair(tmp_path, trials, scores)
-        with parsing(block_chars, per_line):
+        t, s = write_pair(tmp_path, trials.replace(" ", gap), scores.replace(" ", gap))
+        with parsing(block_bytes):
             assert_matches_reference(t, s)
 
     def test_score_on_two_cpus_reads_in_this_process(self, tmp_path, monkeypatch, capsys):
