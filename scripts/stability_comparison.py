@@ -5,7 +5,8 @@ For each margin, trains the toy cosine classifier with each loss kind on
 the same seeded dataset and prints final accuracy, the gradient-norm peak,
 and whether anything went non-finite.  N-Softmax has no margin, so it is
 trained once; so is any other config listed twice.  Telemetry CSVs land
-in --outdir.
+in --outdir, named by loss and margin; two margins that print alike there
+are refused.
 """
 
 import argparse
@@ -28,24 +29,28 @@ def main():
     args = parser.parse_args()
     # Every run's config is built, and so checked, before the first
     # directory or file is made.  A dict keeps each distinct config once,
-    # in the order first built.
+    # in the order first built, with its file tag.
     try:
-        configs = {}
+        configs, margins = {}, {}
         for margin in _comma_list("--margins", args.margins, float, "margin"):
             for kind in LossKind:
                 # N-Softmax runs without a margin.
                 loss_margin = 0.0 if kind is LossKind.N_SOFTMAX else margin
                 spec = LossSpec(kind, margin=loss_margin, scale=args.scale, degree=args.degree)
-                configs[TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)] = None
+                tag = f"{spec.kind.value}_m{spec.margin:g}"
+                if margins.setdefault(tag, spec.margin) != spec.margin:
+                    raise ValueError(
+                        f"margins {margins[tag]!r} and {spec.margin!r} share the file tag {tag}"
+                    )
+                configs[TrainConfig(loss=spec, epochs=args.epochs, seed=args.seed)] = tag
         os.makedirs(args.outdir, exist_ok=True)
     except (ValueError, OSError) as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
 
     print(f"{'margin':>6} {'loss':>10} {'accuracy':>9} {'grad_max':>9} {'nan':>5}")
-    for config in configs:
+    for config, tag in configs.items():
         telemetry = train(config)
         spec = config.loss
-        tag = f"{spec.kind.value}_m{spec.margin:g}"
         telemetry.write_csv(os.path.join(args.outdir, f"telemetry_{tag}.csv"))
         telemetry.write_summary(os.path.join(args.outdir, f"telemetry_{tag}.summary"))
         print(

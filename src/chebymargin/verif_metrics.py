@@ -155,16 +155,6 @@ def _padded_keys(data: np.ndarray, starts: np.ndarray, length: int) -> np.ndarra
     return keys
 
 
-def _fields(data, starts, stops, key_at: int, value_at: int):
-    """``(data, key_starts, key_lengths, value_starts, value_lengths)`` of rows of
-    three fields each; field k of row i runs from ``starts[3i+k]`` up to ``stops[3i+k]``."""
-    key_starts = starts[key_at::3]
-    value_starts = starts[value_at::3]
-    key_lengths = (stops[key_at + 1 :: 3] - key_starts).astype(np.int32)
-    value_lengths = stops[value_at::3] - value_starts
-    return data, key_starts, key_lengths, value_starts, value_lengths
-
-
 def _blocks(fh):
     """The binary file ``fh`` as blocks of whole lines: the partial line
     the last block left and a read of ``_BLOCK_BYTES`` bytes, cut after its
@@ -185,13 +175,14 @@ def _tokenize(block: bytes, start: int, layout):
     """Every field and line end of ``block``, whole lines from line
     ``start`` on, found by one scan of its bytes for ``_SEPARATORS``.
 
-    Returns ``(rows, n_lines, error, fields, quote)``: the index among the
-    lines of every line that is not blank, the number of lines, ``None`` or
-    the ``(line, message)`` of the first line that is not three fields or
-    fails :func:`_text_error`, the field positions (:func:`_fields`) of the
-    rows before it, and a function quoting the line of row ``i``.
+    Returns ``(rows, n_lines, error, data, starts, stops, quote)``: the
+    index among the lines of every line that is not blank, the number of
+    lines, ``None`` or the ``(line, message)`` of the first line that is not
+    three fields or fails :func:`_text_error`, bytes in which field k of
+    row i, for the rows before it, runs from ``starts[3i+k]`` up to
+    ``stops[3i+k]``, and a function quoting the line of row ``i``.
     """
-    expected, key_at, value_at, _ = layout
+    expected, key_at = layout[:2]
     data = np.frombuffer(block + _PAD, dtype=np.uint8)
     marks = np.flatnonzero(data[: len(block)] <= 0x20)
     marks = marks[_SEPARATORS[data[marks]]]
@@ -222,7 +213,7 @@ def _tokenize(block: bytes, start: int, layout):
     gaps = stops[key_at::3]
     if not (np.array_equal(starts[key_at + 1 :: 3], gaps + 1) and np.all(data[gaps] == 0x20)):
         data, starts, stops = _respaced(data, starts, stops)
-    return rows, ends.size, error, _fields(data, starts, stops, key_at, value_at), quote
+    return rows, ends.size, error, data, starts, stops, quote
 
 
 def _text_error(block: bytes, ends):
@@ -252,34 +243,6 @@ def _respaced(data, starts, stops):
     spaced = np.append(data[index], np.zeros(len(_PAD), np.uint8))
     spaced[new_stops] = 0x20
     return spaced, new_starts, new_stops
-
-
-def _row_blocks(path: str, layout):
-    """Read a three-field-per-line file once, a block of whole lines at a
-    time (:func:`_blocks`, :func:`_tokenize`).
-
-    Yields ``(start, rows, data, key_starts, key_lengths, values, error)``
-    per block: the 1-based number of its first line, the index among its
-    lines of every row, bytes holding each row's key at its offset and
-    byte length, each row's value as the layout's one value parser reads
-    it, and ``None`` or the ``(line, message)`` of the first bad line, in
-    which case the block is the last one yielded.
-    """
-    with open(path, "rb") as fh:
-        start = 1
-        for block in _blocks(fh):
-            rows, n_lines, error, fields, quote = _tokenize(block, start, layout)
-            data, key_starts, key_lengths, value_starts, value_lengths = fields
-            values, bad = layout[3](data, value_starts, value_lengths, quote)
-            n = rows.size
-            if bad is not None:
-                # The rows stop before the block's own error, so a bad value is earlier.
-                n, message = bad
-                error = start + int(rows[n]), message
-            yield start, rows[:n], data, key_starts[:n], key_lengths[:n], values[:n], error
-            if error is not None:
-                return
-            start += n_lines
 
 
 def _raise_first(path: str, *errors) -> None:
@@ -370,29 +333,45 @@ class _KeyColumns(NamedTuple):
 
 
 def _key_columns(path: str, layout) -> _KeyColumns:
-    """Read ``path`` once, a block at a time (:func:`_row_blocks`), into
-    key columns.
+    """Read ``path`` once, a block of whole lines at a time (:func:`_blocks`,
+    :func:`_tokenize`), into key columns.
 
     ``layout`` is ``_SCORES`` or ``_TRIALS``.  The read stops at the first
     line with a format error: a field count, a label or a score value.
     """
+    _, key_at, value_at, parse = layout
     empty = np.empty(0, np.int32)
-    values = layout[3](np.empty(0, np.uint8), empty, empty, None)[0]
+    values = parse(np.empty(0, np.uint8), empty, empty, None)[0]
     parts = [(np.empty(0, np.int64), empty, empty, empty, values)]
     keys: dict = {}  # key length -> bytearray of the padded keys of that length
-    error = None
-    for start, rows, data, starts, lengths, values, error in _row_blocks(path, layout):
-        n = rows.size
-        hashes = np.empty(n, dtype=np.int64)
-        slots = np.empty(n, dtype=np.int32)
-        for length in np.unique(lengths).tolist():
-            at = np.flatnonzero(lengths == length)
-            padded = _padded_keys(data, starts[at], length)
-            column = keys.setdefault(length, bytearray())
-            slots[at] = np.arange(at.size) + len(column) // padded.shape[1]
-            column += padded.data
-            hashes[at] = _key_hash(padded.view(np.uint64), length)
-        parts.append((hashes, lengths, slots, (start + rows).astype(np.int32), values))
+    start, error = 1, None
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            rows, n_lines, error, data, starts, stops, quote = _tokenize(block, start, layout)
+            value_starts = starts[value_at::3]
+            values, bad = parse(data, value_starts, stops[value_at::3] - value_starts, quote)
+            n = rows.size
+            if bad is not None:
+                # The rows stop before the block's own error, so a bad value is earlier.
+                n, message = bad
+                error = start + int(rows[n]), message
+            starts = starts[key_at::3][:n]
+            lengths = (stops[key_at + 1 :: 3][:n] - starts).astype(np.int32)
+            hashes = np.empty(n, dtype=np.int64)
+            slots = np.empty(n, dtype=np.int32)
+            for length in np.unique(lengths).tolist():
+                at = np.flatnonzero(lengths == length)
+                padded = _padded_keys(data, starts[at], length)
+                column = keys.setdefault(length, bytearray())
+                slots[at] = np.arange(at.size) + len(column) // padded.shape[1]
+                column += padded.data
+                hashes[at] = _key_hash(padded.view(np.uint64), length)
+            parts.append((hashes, lengths, slots, (start + rows[:n]).astype(np.int32), values[:n]))
+            if error is not None:
+                break
+            start += n_lines
+            # Freed before the next block is read.
+            del block, data, starts, stops, quote, value_starts, values
     # One column at a time, its parts freed as it is joined, so at most one
     # column is held twice.
     columns = list(zip(*parts))
@@ -418,12 +397,11 @@ def _pair(columns: _KeyColumns, row) -> str:
 
 
 def _same_keys(a: _KeyColumns, rows_a, b: _KeyColumns, rows_b) -> bool:
-    """Whether row ``rows_a[i]`` of ``a`` (row ``i`` if ``rows_a`` is None)
-    holds the key of row ``rows_b[i]`` of ``b``, for every ``i`` with
-    ``rows_b[i] >= 0``; compared ``_COMPARE_ROWS`` keys at a time."""
+    """Whether row ``rows_a[i]`` of ``a`` holds the key of row ``rows_b[i]``
+    of ``b``, for every ``i`` with ``rows_b[i] >= 0``; compared
+    ``_COMPARE_ROWS`` keys at a time."""
     for i in range(0, rows_b.size, _COMPARE_ROWS):
-        rb = rows_b[i : i + _COMPARE_ROWS]
-        ra = np.arange(i, i + rb.size) if rows_a is None else rows_a[i : i + _COMPARE_ROWS]
+        ra, rb = rows_a[i : i + _COMPARE_ROWS], rows_b[i : i + _COMPARE_ROWS]
         ra, rb = ra[rb >= 0], rb[rb >= 0]
         lengths = a.lengths[ra]
         if np.any(lengths != b.lengths[rb]):
@@ -492,7 +470,9 @@ def _score_rows(scores: _KeyColumns, trials: _KeyColumns):
         rows[scores.hashes.take(rows, mode="clip") != trials.hashes] = -1
     else:
         rows[:] = -1
-    return rows if _same_keys(trials, None, scores, rows) else None
+    # int32 like the line numbers: an int64 range raised a score's peak memory.
+    every = np.arange(rows.size, dtype=np.int32)
+    return rows if _same_keys(trials, every, scores, rows) else None
 
 
 def _check_trials(trials: _KeyColumns, rows, n_scores: int, path: str) -> None:

@@ -509,3 +509,90 @@ class TestBoundedVersusExploding:
         curvature = math.sin(margin) / math.sin(theta) ** 3
         assert exact_psi_grad(x, margin) == pytest.approx(slope, rel=1e-7)
         assert exact_psi_hessian(x, margin) == pytest.approx(curvature, rel=1e-7)
+
+
+def slope_cap_point(degree):
+    """Test-local oracle: ``(t, 1 - x*)`` for the point ``x*`` whose exact
+    slope ``psi'(x*) = cos m + sin m * x* / sqrt(1 - x*^2)`` equals the
+    series' peak slope at every margin, ``x* / sqrt(1 - x*^2) = t``.
+    ``1 - x*`` is taken in a form without cancellation."""
+    k = degree // 2
+    t = 8 * k * (k + 1) / (math.pi * (2 * k + 1))
+    r = math.sqrt(1 + t * t)
+    return t, 1 / (r * (r + t))
+
+
+class TestSlopeCap:
+    """The degree sets a slope cap, and the point where the exact slope
+    reaches it does not depend on the margin."""
+
+    @pytest.mark.parametrize("margin", LIPSCHITZ_MARGINS)
+    def test_error_times_excess_slope_is_fixed_by_the_degree(self, margin):
+        """``e_K (L_K - cos m) = (2 sin m / pi)^2 (1 - 1/(2K+1)^2)``: a
+        smaller error bound buys a proportionally higher slope cap."""
+        for degree in LIPSCHITZ_DEGREES:
+            k = degree // 2
+            product = approx_error_bound(margin, degree) * (
+                lipschitz_constant(coefficients(margin, degree)) - math.cos(margin)
+            )
+            oracle = (2 * math.sin(margin) / math.pi) ** 2 * (1 - 1 / (2 * k + 1) ** 2)
+            if margin == 0.0 or degree == 1:
+                # Both sides vanish exactly; a relative check would divide by 0.
+                assert (product, oracle) == (0.0, 0.0), degree
+            else:
+                assert product == pytest.approx(oracle, rel=1e-12, abs=0), degree
+
+    @pytest.mark.parametrize("degree, gap", [(30, 1.284e-3), (100, 1.209e-4)])
+    def test_peak_slope_is_the_exact_slope_at_a_margin_free_point(self, degree, gap):
+        t, one_minus_x = slope_cap_point(degree)
+        assert one_minus_x == pytest.approx(gap, abs=5e-4 * gap)
+        for margin in (0.1, 0.5, 1.5):
+            cap = math.cos(margin) + math.sin(margin) * t
+            assert lipschitz_constant(coefficients(margin, degree)) == pytest.approx(cap, rel=1e-12)
+            # Rounding x* itself costs up to about 2.5e-11 of the slope by
+            # degree 1000, so the exact slope is checked at these two only.
+            assert exact_psi_grad(1 - one_minus_x, margin) == pytest.approx(cap, rel=1e-12)
+
+
+class TestAngleSpaceSlope:
+    """What a renormalized weight row receives is the slope times
+    ``sin(theta) = sqrt(1 - x^2)``: bounded for AAM, and 0 at the edge for
+    the series."""
+
+    @pytest.mark.parametrize("margin", [0.1, 0.3, 0.5, 1.0, 1.5])
+    def test_exact_slope_along_the_sphere(self, margin):
+        """Test-local oracle: ``|psi'(x)| sqrt(1 - x^2) = |sqrt(1 - x^2) cos m
+        + x sin m| = |sin(arccos x + m)|``, checked off the clamped edges.
+        It is 0 at ``x = -cos m``, where an absolute floor takes over."""
+        x = np.linspace(-1.0, 1.0, 400001)[1:-1]
+        sine = np.sqrt((1 - x) * (1 + x))
+        oracle = np.abs(sine * math.cos(margin) + x * math.sin(margin))
+        arccos_form = np.abs(np.sin(np.arccos(x) + margin))
+        np.testing.assert_allclose(oracle, arccos_form, rtol=0, atol=2e-15)
+        along = np.abs(exact_psi_grad(x, margin)) * sine
+        np.testing.assert_allclose(along, oracle, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("margin", [0.1, 0.5, 1.5])
+    def test_exact_slope_along_the_sphere_tends_to_sin_margin(self, margin):
+        for x in (1 - 1e-4, 1 - 1e-8, 1 - 1e-12):
+            gap = 1 - x  # exact, so sqrt(1 - x^2) keeps every digit
+            along = abs(exact_psi_grad(x, margin)) * math.sqrt(gap * (2 - gap))
+            # sin(theta + m) - sin(m) is at most theta, about sqrt(2 gap).
+            assert along == pytest.approx(math.sin(margin), abs=1.01 * math.sqrt(2 * gap))
+
+    @pytest.mark.parametrize(
+        "margin, peaks",
+        [
+            (0.5, {2: 1.1127, 10: 1.0178, 30: 1.0101, 100: 1.0033}),
+            (0.3, {2: 1.0600, 10: 1.0090, 30: 1.0053, 100: 1.0019}),
+        ],
+    )
+    def test_series_slope_along_the_sphere_vanishes_at_the_edge(self, margin, peaks):
+        """``|f_K'(x)| sqrt(1 - x^2)`` is 0 at ``x = +-1`` and peaks a little
+        above AAM's bound of 1, by the series' overshoot below ``x*``."""
+        x = np.linspace(-1.0, 1.0, 400001)
+        for degree, peak in peaks.items():
+            along = np.abs(series_derivative(coefficients(margin, degree), x))
+            along *= np.sqrt((1 - x) * (1 + x))
+            assert (along[0], along[-1]) == (0.0, 0.0)
+            assert along.max() == pytest.approx(peak, abs=5e-5), degree

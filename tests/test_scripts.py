@@ -107,6 +107,10 @@ def test_stability_comparison(tmp_path):
         ),
         ("stability_comparison.py", ["--margins", "x"], "--margins: bad margin 'x'"),
         ("stability_comparison.py", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (
+            "stability_comparison.py", ["--margins", "0.3,0.30000001"],
+            "margins 0.3 and 0.30000001 share the file tag amsoftmax_m0.3",
+        ),
     ],
 )
 def test_bad_input_is_refused_before_any_write(tmp_path, name, argv, message):
