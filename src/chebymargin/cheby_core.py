@@ -159,11 +159,6 @@ def _clenshaw_plan(a: np.ndarray, n: int):
     return evaluate
 
 
-def _even_clenshaw(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of ``sum_k a_k T_k(x)``; see :func:`_clenshaw_plan`."""
-    return _clenshaw_plan(a, x.size)(x)
-
-
 def series_value_and_derivative(series: ChebyshevSeries, x):
     """Value and first derivative of the truncated series, in one pass.
 
@@ -172,7 +167,7 @@ def series_value_and_derivative(series: ChebyshevSeries, x):
     endpoints included.  A scalar ``x`` gives a pair of floats.
     """
     arr, scalar = _validate_eval_point(x)
-    value, deriv = _even_clenshaw(series.coefficients, arr)
+    value, deriv = _clenshaw_plan(series.coefficients, arr.size)(arr)
     return _maybe_scalar(value, scalar), _maybe_scalar(deriv, scalar)
 
 
@@ -262,7 +257,7 @@ def series_hessian(series: ChebyshevSeries, x):
     """
     arr, scalar = _validate_eval_point(x)
     d2 = _derivative_coefficients(_derivative_coefficients(series.coefficients))
-    return _maybe_scalar(_even_clenshaw(d2, arr)[0], scalar)
+    return _maybe_scalar(_clenshaw_plan(d2, arr.size)(arr)[0], scalar)
 
 
 def lipschitz_constant(series: ChebyshevSeries) -> float:

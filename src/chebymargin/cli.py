@@ -191,11 +191,7 @@ def _cmd_train(args) -> int:
         fileio.check_writable(path)
     telemetry = train(config)
     telemetry.write_csv(args.out)
-    telemetry.write_summary(summary_path)
-    print(f"steps={len(telemetry.records)}")
-    print(f"final_accuracy={telemetry.final_accuracy!r}")
-    print(f"grad_norm_max={telemetry.grad_norm_max!r}")
-    print(f"nan_seen={str(telemetry.nan_seen).lower()}")
+    print(*telemetry.write_summary(summary_path), sep="\n")
     print(f"wrote {args.out} and {summary_path}")
     return 0
 

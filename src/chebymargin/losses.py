@@ -102,15 +102,21 @@ class CosineBatch:
 
 
 def _integer_labels(labels) -> np.ndarray:
-    """``labels`` as an int array; a non-integral value is an error, not truncated."""
+    """``labels`` as an int array.
+
+    Integer labels pass, and float labels whose values are all integral
+    become ints.  Any other value (fractional, non-finite, text, boolean)
+    is an error naming the first such value, not coerced.
+    """
     arr = np.asarray(labels)
     if arr.dtype.kind in "iu":
         return arr.astype(int, copy=False)
-    values = arr.astype(float)
-    integral = np.isfinite(values) & (values == np.trunc(values))
+    integral = np.zeros(arr.shape, dtype=bool)
+    if arr.dtype.kind == "f":
+        integral = np.isfinite(arr) & (arr == np.trunc(arr))
     if not np.all(integral):
         raise ValueError(f"labels must be integers, got {arr.flat[np.argmin(integral)]}")
-    return values.astype(int)
+    return arr.astype(int)
 
 
 @dataclass
@@ -274,7 +280,7 @@ def binary_derivative_surface(spec: LossSpec, grid_n: int):
     ``d loss / d s_p`` at ``(axis[i], axis[j])``.
     """
     if grid_n < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {grid_n}")
+        raise ValueError(f"need at least 2 grid points, got {grid_n}")
     axis = np.linspace(-1.0, 1.0, grid_n)
     sp, sn = np.meshgrid(axis, axis, indexing="ij")
     cosines = np.column_stack([sp.ravel(), sn.ravel()])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,6 @@ STABILITY_SCALE = 4.0
 
 # Share of the steps spent ramping the learning rate up to ``peak_lr``.
 WARMUP_FRACTION = 0.1
-
-TELEMETRY_HEADER = "step,lr,mean_loss,grad_norm,max_target_cosine"
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,9 @@ class SphereDataset:
     labels: np.ndarray
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step's telemetry; the fields are the CSV's columns, in order."""
+
     step: int
     lr: float
     mean_loss: float
@@ -99,13 +99,11 @@ class TrainTelemetry:
         return self.nan_step is not None
 
     def write_csv(self, path: str) -> None:
-        rows = (
-            f"{r.step},{r.lr!r},{r.mean_loss!r},{r.grad_norm!r},{r.max_target_cosine!r}"
-            for r in self.records
-        )
-        write_lines_atomic(path, chain([TELEMETRY_HEADER], rows))
+        rows = (",".join(map(repr, r)) for r in self.records)
+        write_lines_atomic(path, chain([",".join(StepRecord._fields)], rows))
 
-    def write_summary(self, path: str) -> None:
+    def write_summary(self, path: str) -> list[str]:
+        """Write the summary's ``key=value`` lines to ``path`` and return them."""
         lines = [
             f"steps={len(self.records)}",
             f"final_accuracy={self.final_accuracy!r}",
@@ -114,6 +112,7 @@ class TrainTelemetry:
             f"grad_norm_max={self.grad_norm_max!r}",
         ]
         write_lines_atomic(path, lines)
+        return lines
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:

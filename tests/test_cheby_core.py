@@ -194,11 +194,11 @@ class TestEvenKernel:
         x[1::2] = np.random.default_rng(degree).uniform(-1.0, 1.0, x.size // 2)
         one_by_one = np.array([series_value_and_derivative(series, xi) for xi in x.tolist()])
         for n in (limit, limit + 1, x.size):
-            value, deriv = cheby_core._even_clenshaw(series.coefficients, x[:n])
+            value, deriv = cheby_core._clenshaw_plan(series.coefficients, n)(x[:n])
             np.testing.assert_array_equal(value, one_by_one[:n, 0])
             np.testing.assert_array_equal(deriv, one_by_one[:n, 1])
         grid = x[: 7 * 300].reshape(7, 300)
-        value, deriv = cheby_core._even_clenshaw(series.coefficients, grid)
+        value, deriv = cheby_core._clenshaw_plan(series.coefficients, grid.size)(grid)
         assert value.shape == deriv.shape == (7, 300)
         np.testing.assert_array_equal(value.ravel(), one_by_one[: 7 * 300, 0])
         np.testing.assert_array_equal(deriv.ravel(), one_by_one[: 7 * 300, 1])
@@ -212,7 +212,7 @@ class TestEvenKernel:
         inputs = [np.random.default_rng(seed).uniform(-1.0, 1.0, n) for seed in range(3)]
         results = [evaluate(x) for x in inputs]
         for x, (value, deriv) in zip(inputs, results):
-            fresh_value, fresh_deriv = cheby_core._even_clenshaw(a, x)
+            fresh_value, fresh_deriv = cheby_core._clenshaw_plan(a, x.size)(x)
             np.testing.assert_array_equal(value, fresh_value)
             np.testing.assert_array_equal(deriv, fresh_deriv)
 

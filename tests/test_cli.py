@@ -443,8 +443,10 @@ class TestTrainCommand:
         )
         assert code == 0
         assert out_path.exists()
-        assert (tmp_path / "telemetry.csv.summary").exists()
-        assert "nan_seen=false" in out
+        summary = (tmp_path / "telemetry.csv.summary").read_text().splitlines()
+        assert "nan_seen=false" in summary
+        # stdout is the summary file's lines, in its order, then the paths.
+        assert out.splitlines() == [*summary, f"wrote {out_path} and {out_path}.summary"]
 
     @pytest.mark.parametrize(
         "out, dirs, message",
@@ -561,6 +563,8 @@ class TestRejectedSettings:
             (["--kind", "surfaces", "--losses", "asoftmax"], "--losses: bad loss kind 'asoftmax'"),
             (["--losses", "bogus"], "--losses: bad loss kind 'bogus'"),
             (["--kind", "surfaces", "--degrees", "2,x"], "--degrees: bad degree 'x'"),
+            (["--grid", "1"], "need at least 2 grid points, got 1"),
+            (["--kind", "surfaces", "--grid", "1"], "need at least 2 grid points, got 1"),
         ],
     )
     def test_landscape_rejects_a_bad_list(self, capsys, tmp_path, argv, named):

@@ -168,11 +168,22 @@ class TestCosineBatch:
         with pytest.raises(ValueError, match="^batch needs at least two classes$"):
             CosineBatch(np.array([[0.5], [0.1]]), np.array([0, 0]))
 
-    @pytest.mark.parametrize("label", [0.7, -0.5, math.nan, math.inf])
-    def test_rejects_non_integral_label(self, label):
-        """A fractional label is an error naming the value, not label 0."""
-        with pytest.raises(ValueError, match=f"labels must be integers, got {label}"):
-            CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), [1, label])
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            *(
+                pytest.param([1, label], label, id=str(label))
+                for label in (0.7, -0.5, math.nan, math.inf)
+            ),
+            pytest.param(["1", "0"], "1", id="text"),
+            pytest.param(np.array([True, False]), True, id="bool"),
+        ],
+    )
+    def test_rejects_non_integral_label(self, labels, named):
+        """A fractional, non-finite, text or boolean label is an error naming
+        the value, not a class index."""
+        with pytest.raises(ValueError, match=f"labels must be integers, got {named}"):
+            CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), labels)
 
     def test_integral_float_labels_become_ints(self):
         batch = CosineBatch(np.array([[0.5, 0.2], [0.1, 0.3]]), [1.0, 0.0])
