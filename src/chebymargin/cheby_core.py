@@ -82,6 +82,8 @@ def _edge_clamp(arr: np.ndarray) -> np.ndarray:
 def _check_series_args(margin: float, degree: int) -> None:
     if not 0.0 <= margin < math.pi / 2:
         raise ValueError(f"margin must be in [0, pi/2), got {margin}")
+    if not np.issubdtype(type(degree), np.integer):  # refuses bool and float
+        raise ValueError(f"degree must be an integer, got {degree}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
 
@@ -109,8 +111,8 @@ def coefficients(margin: float, degree: int) -> ChebyshevSeries:
     return ChebyshevSeries(a)
 
 
-def _clenshaw_plan(a: np.ndarray, n: int):
-    """The evaluator of ``sum_k a_k T_k`` at ``n`` points, odd ``a_k`` above 1 being 0.
+def _clenshaw_plan(a: np.ndarray):
+    """The evaluator of ``sum_k a_k T_k``, odd ``a_k`` above 1 being 0.
 
     With ``c_j = a_{2j}`` and ``y = 2x^2 - 1``, ``T_{2j}(x) = T_j(y)`` gives
     ``f = a_1 x + g(y)`` with ``g = sum_j c_j T_j``, and ``f' = a_1 + 4x g'(y)``
@@ -120,10 +122,11 @@ def _clenshaw_plan(a: np.ndarray, n: int):
     ``g'`` (row 1) together, in half as many steps as ``a`` has entries.
 
     The columns are built here, once; the returned ``evaluate(x)`` takes
-    any array of ``n`` points and gives its value and derivative in ``x``'s
-    shape.  Up to ``_CLENSHAW_COPY_MAX`` points the columns
-    ``col_1 .. col_K`` are copied out to ``n``, so no operation in the
-    recurrence broadcasts; past it each is a broadcast ``(2, 1)`` column.
+    any array of points and gives its value and derivative in ``x``'s
+    shape.  Up to ``_CLENSHAW_COPY_MAX`` points the columns ``col_1 .. col_K``
+    are copied out to the point count, and kept until a call brings another,
+    so no operation in the recurrence broadcasts; past it each is a
+    broadcast ``(2, 1)`` column.
     Either way every point gets the same arithmetic, so the result is the
     same.
     """
@@ -131,14 +134,20 @@ def _clenshaw_plan(a: np.ndarray, n: int):
     c = a[0::2]
     k = len(c) - 1
     # col_j for j = 1..K; a lone zero column when K = 0, so that b_1 = b_2 = 0.
-    cols = np.zeros((max(k, 1), 2, n if n <= _CLENSHAW_COPY_MAX else 1))
-    cols[:k, 0] = c[1:, None]
-    cols[:k, 1] = (np.arange(1.0, k + 1) * c[1:])[:, None]
-    # The recurrence's columns in the order it reads them, as views made once.
-    last, rest = cols[-1], list(cols[-2::-1])
+    cols = np.zeros((max(k, 1), 2, 1))
+    cols[:k, 0, 0] = c[1:]
+    cols[:k, 1, 0] = np.arange(1.0, k + 1) * c[1:]
+    # The recurrence's columns in the order it reads them, for the last count.
+    views = {}
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = x.reshape(-1)
+        n = flat.size
+        if n not in views:
+            out = np.repeat(cols, n, axis=2) if n <= _CLENSHAW_COPY_MAX else cols
+            views.clear()
+            views[n] = out[-1], list(out[-2::-1])
+        last, rest = views[n]
         four_x = 4.0 * flat
         two_y = np.empty((2, n))
         two_y[...] = four_x * flat - 2.0
@@ -167,7 +176,7 @@ def series_value_and_derivative(series: ChebyshevSeries, x):
     endpoints included.  A scalar ``x`` gives a pair of floats.
     """
     arr, scalar = _validate_eval_point(x)
-    value, deriv = _clenshaw_plan(series.coefficients, arr.size)(arr)
+    value, deriv = _clenshaw_plan(series.coefficients)(arr)
     return _maybe_scalar(value, scalar), _maybe_scalar(deriv, scalar)
 
 
@@ -257,7 +266,7 @@ def series_hessian(series: ChebyshevSeries, x):
     """
     arr, scalar = _validate_eval_point(x)
     d2 = _derivative_coefficients(_derivative_coefficients(series.coefficients))
-    return _maybe_scalar(_clenshaw_plan(d2, arr.size)(arr)[0], scalar)
+    return _maybe_scalar(_clenshaw_plan(d2)(arr)[0], scalar)
 
 
 def lipschitz_constant(series: ChebyshevSeries) -> float:

@@ -220,9 +220,8 @@ def _add_series_flags(sub):
 
 def _add_loss_flags(sub):
     sub.add_argument("--loss", choices=LOSS_CHOICES, default="chebyaam", help="loss kind")
-    _add_margin_flag(sub)
+    _add_series_flags(sub)
     sub.add_argument("--scale", type=float, default=LossSpec.scale, help="logit scale factor")
-    sub.add_argument("--degree", type=int, default=LossSpec.degree, help="series degree")
 
 
 def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:

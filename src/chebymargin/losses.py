@@ -69,7 +69,10 @@ class LossSpec:
         # Last, so that a kind with its own range names it first.
         if not 0 <= self.margin < math.inf:
             raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
-        if self.kind is LossKind.CHEBY_AAM and self.degree < 1:
+        cheby = self.kind is LossKind.CHEBY_AAM
+        if cheby and not np.issubdtype(type(self.degree), np.integer):
+            raise ValueError(f"series degree must be an integer, got {self.degree}")
+        if cheby and self.degree < 1:
             raise ValueError(f"series degree must be >= 1, got {self.degree}")
 
     @functools.cached_property
@@ -140,10 +143,10 @@ class GradCheckReport:
         return bool(self.large_grad_entries)
 
 
-def _target_transform(spec: LossSpec, n: int):
-    """The target-logit transform of ``spec`` for ``n`` cosines: a callable
-    from a float array of them, ``|x| <= 1`` already checked by the caller,
-    to the transformed logits and their derivatives with respect to x."""
+def _target_transform(spec: LossSpec):
+    """The target-logit transform of ``spec``: a callable from a float array
+    of cosines, ``|x| <= 1`` already checked by the caller, to the
+    transformed logits and their derivatives with respect to x."""
     if spec.kind is LossKind.N_SOFTMAX:
         return lambda x: (x, np.ones_like(x))
     if spec.kind is LossKind.AM_SOFTMAX:
@@ -151,31 +154,30 @@ def _target_transform(spec: LossSpec, n: int):
     if spec.kind is LossKind.AAM_SOFTMAX:
         margin = spec.margin
         return lambda x: (cheby_core._psi(x, margin), cheby_core._psi_grad(x, margin))
-    return cheby_core._clenshaw_plan(spec.series.coefficients, n)
+    return cheby_core._clenshaw_plan(spec.series.coefficients)
 
 
 def transform_target_logit(spec: LossSpec, x):
     """Apply the target-logit margin transform of ``spec`` to cosine ``x``."""
     arr, scalar = cheby_core._validate_eval_point(x)
-    value, _ = _target_transform(spec, arr.size)(arr)
+    value, _ = _target_transform(spec)(arr)
     return cheby_core._maybe_scalar(value, scalar)
 
 
-def _forward(spec: LossSpec, rows: int, classes: int):
-    """The loss of ``spec`` on ``rows x classes`` cosines, prepared once:
-    a callable ``(cosines, labels) -> LossOutput`` that checks nothing.
+def _forward(spec: LossSpec):
+    """The loss of ``spec``, prepared once: a callable
+    ``(cosines, labels) -> LossOutput`` that checks nothing.
 
-    ``cosines`` is a float ``rows x classes`` array with every entry in
+    ``cosines`` is a float ``batch x classes`` array with every entry in
     ``[-1, 1]`` and ``labels`` an int array of one class index per row,
     as a ``CosineBatch`` holds them.  Every returned array is fresh.
     """
     scale = spec.scale
-    transform = _target_transform(spec, rows)
-    # Row-major positions of each row's first entry.
-    offsets = np.arange(0, rows * classes, classes)
+    transform = _target_transform(spec)
 
     def forward(cosines: np.ndarray, labels: np.ndarray) -> LossOutput:
-        targets = offsets + labels
+        # Row-major positions of each row's target entry.
+        targets = np.arange(0, cosines.size, cosines.shape[1]) + labels
         target_cosines = cosines.take(targets)
         psi, dpsi = transform(target_cosines)
 
@@ -217,7 +219,7 @@ def loss_forward(spec: LossSpec, batch: CosineBatch) -> LossOutput:
     column is ``-s * psi'(x_y) * sum_{j != y} p_j`` with the non-target
     probability mass summed directly so it survives heavy saturation.
     """
-    return _forward(spec, *batch.cosines.shape)(batch.cosines, batch.labels)
+    return _forward(spec)(batch.cosines, batch.labels)
 
 
 def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> GradCheckReport:
@@ -228,9 +230,10 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
     entry-by-entry with ``grad_cosines``.  A step too small to move some
     cosine (a zero span) is an error naming that cosine; a step of 2 or
     more, whose every span is all of ``[-1, 1]``, is an error too.
-    Rows are independent, so one forward pass per perturbed column covers
-    the whole batch.  The relative error uses ``max(1, |fd|, |analytic|)``
-    as denominator so that near-zero entries are judged on absolute error.
+    Rows are independent, so one pass of one prepared step per perturbed
+    column covers the whole batch.  The relative error uses
+    ``max(1, |fd|, |analytic|)`` as denominator so that near-zero entries
+    are judged on absolute error.
     Entries whose analytic gradient magnitude exceeds ``LARGE_GRAD`` are
     reported in ``large_grad_entries``.
     """
@@ -249,26 +252,22 @@ def loss_grad_check(spec: LossSpec, batch: CosineBatch, step: float = 1e-5) -> G
         raise ValueError(
             f"step {step!r} is too small to move the cosine {float(cosines.flat[unmoved[0]])!r}"
         )
-    analytic = loss_forward(spec, batch).grad_cosines
+    forward = _forward(spec)
+    analytic = forward(cosines, labels).grad_cosines
 
-    # Per entry, as Python's max would drop a NaN loss difference.
-    rel = np.empty_like(analytic)
+    fd = np.empty_like(analytic)
+    plus, minus = cosines.copy(), cosines.copy()
     for col in range(cosines.shape[1]):
-        plus, minus = cosines.copy(), cosines.copy()
-        plus[:, col] = upper[:, col]
-        minus[:, col] = lower[:, col]
-        loss_plus = loss_forward(spec, CosineBatch(plus, labels))
-        loss_minus = loss_forward(spec, CosineBatch(minus, labels))
-        fd = (loss_plus.per_sample_loss - loss_minus.per_sample_loss) / span[:, col]
-        denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(analytic[:, col])))
-        rel[:, col] = np.abs(fd - analytic[:, col]) / denom
+        plus[:, col], minus[:, col] = upper[:, col], lower[:, col]
+        fd[:, col] = forward(plus, labels).per_sample_loss - forward(minus, labels).per_sample_loss
+        plus[:, col] = minus[:, col] = cosines[:, col]
+    fd /= span
+    abs_grad = np.abs(analytic)
+    # Per entry, as Python's max would drop a NaN loss difference.
+    rel = np.abs(fd - analytic) / np.maximum(1.0, np.maximum(np.abs(fd), abs_grad))
 
-    large = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(analytic) > LARGE_GRAD))]
-    return GradCheckReport(
-        max_rel_error=float(rel.max()),
-        max_abs_grad=float(np.max(np.abs(analytic))),
-        large_grad_entries=large,
-    )
+    large = [(int(i), int(j)) for i, j in zip(*np.nonzero(abs_grad > LARGE_GRAD))]
+    return GradCheckReport(float(rel.max()), float(abs_grad.max()), large)
 
 
 def binary_derivative_surface(spec: LossSpec, grid_n: int):

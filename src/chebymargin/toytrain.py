@@ -53,8 +53,11 @@ class TrainConfig:
             raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         floors = dict(epochs=0, batch_size=1, seed=0, dim=2, num_classes=2, samples_per_class=1)
         for name, low in floors.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not np.issubdtype(type(value), np.integer):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.spread < math.inf:
             raise ValueError(f"spread must be non-negative and finite, got {self.spread}")
 
@@ -173,18 +176,12 @@ def train(config: TrainConfig) -> TrainTelemetry:
     weights = _unit_rows(rng.standard_normal((config.num_classes, config.dim)))
 
     n = data.labels.size
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * steps_per_epoch
     starts = range(0, n, config.batch_size)
-    # The run's inputs are checked once: the points are finite, as
-    # make_sphere_clusters refuses a spread that overflows them, the labels
-    # are the dataset's, and each step's clip bounds its cosines, so the
-    # steps build no CosineBatch.  One prepared loss step per batch
-    # size, as an epoch's last batch may be shorter.
-    forwards = {
-        rows: _forward(config.loss, rows, config.num_classes)
-        for rows in {min(config.batch_size, n - start) for start in starts}
-    }
+    total_steps = config.epochs * len(starts)
+    # The inputs are checked once (make_sphere_clusters refuses an overflowing
+    # spread, the labels are the dataset's, each step clips its cosines), so
+    # no step builds a CosineBatch and one prepared loss step serves them all.
+    forward = _forward(config.loss)
 
     telemetry = TrainTelemetry()
     # Each epoch's points and labels are gathered once, in its order, and
@@ -201,7 +198,7 @@ def train(config: TrainConfig) -> TrainTelemetry:
     for step, (points, labels) in enumerate(batches):
         cosines = points @ weights.T
         np.clip(cosines, -1.0, 1.0, cosines)
-        out = forwards[labels.size](cosines, labels)
+        out = forward(cosines, labels)
 
         lr = _warmup_cosine_lr(step, total_steps, config.peak_lr, WARMUP_FRACTION)
         grad_norm = float(np.abs(out.grad_cosines).max())
@@ -229,12 +226,8 @@ def train(config: TrainConfig) -> TrainTelemetry:
 
     # Scored in blocks of the step's shape, so BLAS threads this pass
     # exactly when it threads the steps.
-    predictions = np.concatenate(
-        [
-            np.argmax(data.points[start : start + config.batch_size] @ weights.T, axis=1)
-            for start in range(0, n, config.batch_size)
-        ]
-    )
+    blocks = (data.points[start : start + config.batch_size] @ weights.T for start in starts)
+    predictions = np.concatenate([np.argmax(block, axis=1) for block in blocks])
     telemetry.final_accuracy = float(np.mean(predictions == data.labels))
     telemetry.final_weights = weights
     return telemetry

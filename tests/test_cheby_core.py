@@ -194,25 +194,28 @@ class TestEvenKernel:
         x[1::2] = np.random.default_rng(degree).uniform(-1.0, 1.0, x.size // 2)
         one_by_one = np.array([series_value_and_derivative(series, xi) for xi in x.tolist()])
         for n in (limit, limit + 1, x.size):
-            value, deriv = cheby_core._clenshaw_plan(series.coefficients, n)(x[:n])
+            value, deriv = cheby_core._clenshaw_plan(series.coefficients)(x[:n])
             np.testing.assert_array_equal(value, one_by_one[:n, 0])
             np.testing.assert_array_equal(deriv, one_by_one[:n, 1])
         grid = x[: 7 * 300].reshape(7, 300)
-        value, deriv = cheby_core._clenshaw_plan(series.coefficients, grid.size)(grid)
+        value, deriv = cheby_core._clenshaw_plan(series.coefficients)(grid)
         assert value.shape == deriv.shape == (7, 300)
         np.testing.assert_array_equal(value.ravel(), one_by_one[: 7 * 300, 0])
         np.testing.assert_array_equal(deriv.ravel(), one_by_one[: 7 * 300, 1])
 
-    @pytest.mark.parametrize("n", [64, cheby_core._CLENSHAW_COPY_MAX + 1])
+    @pytest.mark.parametrize("n", [8, 64, cheby_core._CLENSHAW_COPY_MAX + 1])
     def test_plan_reused_gives_fresh_results(self, n):
-        """One plan evaluated on several inputs gives each the bits of its
-        own plan, and a later call leaves an earlier result as it was."""
+        """One plan evaluated on several inputs, whose point counts change
+        across the copy limit and back, gives each the bits of its own plan,
+        and a later call leaves an earlier result as it was."""
         a = coefficients(0.3, 30).coefficients
-        evaluate = cheby_core._clenshaw_plan(a, n)
-        inputs = [np.random.default_rng(seed).uniform(-1.0, 1.0, n) for seed in range(3)]
+        evaluate = cheby_core._clenshaw_plan(a)
+        counts = [n, n, 3, cheby_core._CLENSHAW_COPY_MAX + 1, n]
+        rngs = map(np.random.default_rng, range(len(counts)))
+        inputs = [rng.uniform(-1.0, 1.0, m) for rng, m in zip(rngs, counts)]
         results = [evaluate(x) for x in inputs]
         for x, (value, deriv) in zip(inputs, results):
-            fresh_value, fresh_deriv = cheby_core._clenshaw_plan(a, x.size)(x)
+            fresh_value, fresh_deriv = cheby_core._clenshaw_plan(a)(x)
             np.testing.assert_array_equal(value, fresh_value)
             np.testing.assert_array_equal(deriv, fresh_deriv)
 
@@ -454,10 +457,21 @@ class TestErrorBound:
         with pytest.raises(ValueError, match=rf"^margin must be in \[0, pi/2\), got {margin}$"):
             approx_error_bound(margin, 30)
 
-    @pytest.mark.parametrize("degree", [0, -3])
+    @pytest.mark.parametrize("degree", [0, -3, 31.9, 30.5, 30.0, True])
     def test_rejects_bad_degree(self, degree):
-        with pytest.raises(ValueError, match=rf"^degree must be >= 1, got {degree}$"):
+        """A degree below 1 is out of range; a float, even 30.0, or a bool
+        is refused rather than truncated or read as 1."""
+        rule = ">= 1" if type(degree) is int else "an integer"
+        with pytest.raises(ValueError, match=rf"^degree must be {rule}, got {degree}$"):
             approx_error_bound(0.3, degree)
+        with pytest.raises(ValueError, match=rf"^degree must be {rule}, got {degree}$"):
+            coefficients(0.3, degree)
+
+    def test_accepts_numpy_integer_degree(self):
+        assert approx_error_bound(0.3, np.int64(30)) == approx_error_bound(0.3, 30)
+        np.testing.assert_array_equal(
+            coefficients(0.3, np.int32(30)).coefficients, coefficients(0.3, 30).coefficients
+        )
 
     def test_reference_values(self):
         assert approx_error_bound(0.3, 30) == pytest.approx(

@@ -16,7 +16,7 @@ from chebymargin.cheby_core import (
     coefficients,
     lipschitz_constant,
 )
-from chebymargin import losses
+from chebymargin import cheby_core, losses
 from chebymargin.losses import (
     CosineBatch,
     LossKind,
@@ -67,6 +67,13 @@ class TestLossSpec:
     def test_cheby_needs_degree(self):
         with pytest.raises(ValueError):
             LossSpec(LossKind.CHEBY_AAM, degree=0)
+        # A float, even 30.0, or a bool is refused where the spec is built,
+        # not at its first loss.
+        for degree in (2.5, 30.0, True, np.float64(30.0)):
+            message = rf"^series degree must be an integer, got {degree}$"
+            with pytest.raises(ValueError, match=message):
+                LossSpec(LossKind.CHEBY_AAM, degree=degree)
+        assert LossSpec(LossKind.CHEBY_AAM, degree=np.int64(30)).series.degree == 30
 
     @pytest.mark.parametrize("margin", [2.0, 5.0, math.inf, math.nan])
     def test_am_softmax_margin_below_two(self, margin):
@@ -398,7 +405,7 @@ def reference_loss_forward(spec, cosines, labels):
         a = coefficients(spec.margin, spec.degree).coefficients
         psi, dpsi = reference_even_clenshaw(a, target_cos)
     else:
-        psi, dpsi = losses._target_transform(spec, target_cos.size)(target_cos)
+        psi, dpsi = losses._target_transform(spec)(target_cos)
     target_logit = spec.scale * psi
     work = spec.scale * cosines
     work[rows, labels] = target_logit
@@ -417,10 +424,12 @@ def reference_loss_forward(spec, cosines, labels):
 class TestPreparedForward:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind.value)
     def test_reused_step_gives_fresh_outputs(self, spec):
-        """One prepared step over several batches gives each the bits of
+        """One prepared step over several batches, whose row counts change
+        across the kernel's copy limit and back, gives each the bits of
         ``loss_forward``, and a later call leaves an earlier output as it was."""
-        forward = losses._forward(spec, 8, 16)
-        batches = [random_batch(seed, limit=1.0) for seed in range(3)]
+        forward = losses._forward(spec)
+        rows = [8, 8, 3, cheby_core._CLENSHAW_COPY_MAX + 1, 8]
+        batches = [random_batch(seed, n, limit=1.0) for seed, n in enumerate(rows)]
         outputs = [forward(batch.cosines, batch.labels) for batch in batches]
         for batch, out in zip(batches, outputs):
             want = loss_forward(spec, batch)
@@ -488,6 +497,30 @@ class TestGradCheck:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             loss_grad_check(ALL_SPECS[0], random_batch(0), step=0.0)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind.value)
+    def test_prepares_one_step_and_builds_no_batch(self, monkeypatch, spec):
+        """The batch was checked where it was built: the analytic pass and
+        every perturbed pass run one prepared step, no batch is built
+        again, and the batch's cosines are left as they were."""
+        batch = random_batch(0)
+        before = batch.cosines.copy()
+        calls = dict.fromkeys(["_forward", "CosineBatch"], 0)
+
+        def counted(name):
+            original = getattr(losses, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        loss_grad_check(spec, batch)
+        assert calls == {"_forward": 1, "CosineBatch": 0}
+        np.testing.assert_array_equal(batch.cosines, before)
 
     @pytest.mark.parametrize("label", [0, 1, 2])
     def test_exact_on_cosines_at_the_edge(self, label):

@@ -105,6 +105,32 @@ class TestSphereClusters:
         with pytest.raises(ValueError, match=f"^{message}$"):
             small_config(CHEBY, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 2.5),
+            ("epochs", True),
+            ("batch_size", True),
+            ("seed", True),
+            ("dim", 16.0),
+            ("num_classes", np.float64(4.0)),
+            ("samples_per_class", 2.0),
+        ],
+    )
+    def test_rejects_non_integer_count(self, field, value):
+        """A float, even an integral one, or a bool is refused when the
+        config is built, naming the field, not at the first step."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            small_config(CHEBY, **{field: value})
+
+    def test_numpy_integer_counts_train_as_ints(self):
+        counts = dict(epochs=2, batch_size=32, seed=1, dim=16, num_classes=4, samples_per_class=50)
+        as_numpy = {name: np.int64(value) for name, value in counts.items()}
+        want = train(small_config(CHEBY, **counts))
+        got = train(small_config(CHEBY, **as_numpy))
+        assert got.records == want.records
+        np.testing.assert_array_equal(got.final_weights, want.final_weights)
+
 
 class TestWarmupCosine:
     def test_starts_at_zero(self):
@@ -420,9 +446,9 @@ def _hybrid(transform, series_part):
     ``psi`` with the series slope ``f_K'``, and ``"value"`` pairs the series
     value ``f_K`` with AAM's exact slope ``psi'``."""
 
-    def hybrid(spec, n):
-        exact = transform(dataclasses.replace(spec, kind=LossKind.AAM_SOFTMAX), n)
-        series = transform(spec, n)
+    def hybrid(spec):
+        exact = transform(dataclasses.replace(spec, kind=LossKind.AAM_SOFTMAX))
+        series = transform(spec)
 
         def evaluate(x):
             (psi, dpsi), (f, df) = exact(x), series(x)
