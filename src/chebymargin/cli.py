@@ -158,17 +158,18 @@ def _cmd_lipschitz(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    # Both lists are checked whatever the kind, so neither is ignored unread.
+    # Every flag is checked whatever the kind, so none is ignored unread.
     degrees = _comma_list("--degrees", args.degrees, int, "degree")
-    kinds = _comma_list("--losses", args.losses, LossKind, "loss kind")
+    specs = [
+        LossSpec(kind, margin=args.margin, scale=args.scale, degree=args.degree)
+        for kind in _comma_list("--losses", args.losses, LossKind, "loss kind")
+    ]
+    landscape._check_surfaces(specs)
+    landscape._check_curves(args.margin, degrees, args.grid)
     fileio.check_writable(args.out)  # before any fork or formatting
     if args.kind == "curves":
         landscape.export_curves(args.margin, degrees, args.grid, args.out)
     else:
-        specs = [
-            LossSpec(kind, margin=args.margin, scale=args.scale, degree=args.degree)
-            for kind in kinds
-        ]
         landscape.export_surfaces(specs, args.grid, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -52,6 +52,30 @@ class GapReport:
     ratio: float
 
 
+def _check_curves(margin: float, degrees, grid_n: int) -> None:
+    """Refuse what ``export_curves`` would, before any work: a grid under 2
+    points, no degree, a degree given twice, or a bad margin or degree."""
+    if grid_n < 2:
+        raise ValueError(f"need at least 2 grid points, got {grid_n}")
+    if not degrees:
+        raise ValueError("need at least one degree")
+    for k, degree in enumerate(degrees):
+        if degree in degrees[:k]:
+            raise ValueError(f"duplicate degree {degree} in curve export")
+        cheby_core._check_series_args(margin, degree)
+
+
+def _check_surfaces(specs) -> None:
+    """Refuse what ``export_surfaces`` would, before any work: no spec, or
+    a loss kind given twice."""
+    if not specs:
+        raise ValueError("need at least one loss spec")
+    labels = [spec.kind.value for spec in specs]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise ValueError(f"duplicate loss kind {label} in surface export")
+
+
 def export_curves(
     margin: float, degrees, grid_n: int, out_path: str | None = None
 ) -> CurveBundle:
@@ -62,10 +86,7 @@ def export_curves(
     (empty in the CSV) within ``HESSIAN_BLANK_MARGIN`` of the edges, where
     the exact second derivative is off any plottable scale.
     """
-    if grid_n < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_n}")
-    if not degrees:
-        raise ValueError("need at least one degree")
+    _check_curves(margin, degrees, grid_n)
     x = np.linspace(-1.0, 1.0, grid_n)
     columns: dict = {}
     columns["psi"] = cheby_core.exact_psi(x, margin)
@@ -75,8 +96,6 @@ def export_curves(
     psi_d2[interior] = cheby_core.exact_psi_hessian(x[interior], margin)
     columns["psi_d2"] = psi_d2
     for degree in degrees:
-        if f"cheb{degree}" in columns:
-            raise ValueError(f"duplicate degree {degree} in curve export")
         series = cheby_core.coefficients(margin, degree)
         value, deriv = cheby_core.series_value_and_derivative(series, x)
         columns[f"cheb{degree}"], columns[f"cheb{degree}_d1"] = value, deriv
@@ -103,15 +122,11 @@ def export_surfaces(specs, grid_n: int, out_path: str | None = None) -> SurfaceB
     The CSV is long-format ``loss,s_p,s_n,dL_dsp``, one row per grid node
     per loss.
     """
-    if not specs:
-        raise ValueError("need at least one loss spec")
+    _check_surfaces(specs)
     axis = None
     surfaces: dict = {}
     for spec in specs:
-        label = spec.kind.value
-        if label in surfaces:
-            raise ValueError(f"duplicate loss kind {label} in surface export")
-        axis, surfaces[label] = binary_derivative_surface(spec, grid_n)
+        axis, surfaces[spec.kind.value] = binary_derivative_surface(spec, grid_n)
 
     if out_path is not None:
         rows = partial(_surface_rows, axis, surfaces)

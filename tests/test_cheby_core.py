@@ -290,6 +290,21 @@ class TestExactPsi:
         assert fd == pytest.approx(grad_oracle, rel=1e-8)
 
 
+    @pytest.mark.parametrize("margin", [0.0, 0.3, 0.5, 1.2])
+    def test_grad_is_the_complex_step_derivative(self, margin):
+        """``exact_psi_grad`` is ``Im psi(x + ih) / h`` at ``h = 1e-30`` (no
+        subtraction, so exact to rounding), ``psi`` taken test-locally as
+        ``x cos m - sqrt(1 - x^2) sin m``, in the bulk and within 1e-9 of
+        either edge.  The series slope has its complex-step check through
+        the loss gradient, in ``tests/test_losses.py``."""
+        edge = 1 - 10.0 ** -np.arange(2, 10)
+        x = np.concatenate([np.random.default_rng(0).uniform(-0.95, 0.95, 64), edge, -edge])
+        z = x + 1e-30j
+        oracle = (z * math.cos(margin) - np.sqrt(1 - z * z) * math.sin(margin)).imag / 1e-30
+        grad = exact_psi_grad(x, margin)
+        assert np.max(np.abs(grad - oracle) / np.maximum(1.0, np.abs(grad))) <= 1e-12
+
+
 class TestNonMonotoneRegion:
     """For x < -cos m the angle theta + m passes pi, so the AAM transform
     turns back up: both the exact and the series transform decrease there."""

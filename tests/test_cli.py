@@ -565,11 +565,30 @@ class TestRejectedSettings:
             (["--kind", "surfaces", "--degrees", "2,x"], "--degrees: bad degree 'x'"),
             (["--grid", "1"], "need at least 2 grid points, got 1"),
             (["--kind", "surfaces", "--grid", "1"], "need at least 2 grid points, got 1"),
+            (["--degrees", ","], "--degrees needs at least one degree, got ','"),
+            (["--degrees", "2,0"], "degree must be >= 1, got 0"),
+            # A flag that only the other kind reads is checked all the same.
+            (
+                ["--grid", "11", "--scale", "-1", "--degree", "0"],
+                "scale must be positive and finite, got -1.0",
+            ),
+            (["--grid", "11", "--degree", "0"], "series degree must be >= 1, got 0"),
+            (["--losses", "chebyaam,chebyaam"], "duplicate loss kind chebyaam in surface export"),
+            (
+                ["--kind", "surfaces", "--grid", "11", "--degrees", "30,30,0"],
+                "duplicate degree 30 in curve export",
+            ),
+            (
+                ["--kind", "surfaces", "--grid", "11", "--degrees", "2,0"],
+                "degree must be >= 1, got 0",
+            ),
+            # The surface specs are built first, so they name a bad margin.
+            (["--margin", "2"], "angular margin must be in [0, pi/2), got 2.0"),
         ],
     )
     def test_landscape_rejects_a_bad_list(self, capsys, tmp_path, argv, named):
-        """A list error names the flag and the bad entry, whatever --kind
-        runs: the list the other kind reads is checked too."""
+        """An error names the flag or the bad entry, whatever --kind runs:
+        the flags that only the other kind reads are checked too."""
         out_path = tmp_path / "landscape.csv"
         code, out, err = run_cli(
             capsys, "landscape", "--kind", "curves", *argv, "--out", str(out_path)

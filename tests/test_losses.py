@@ -473,6 +473,55 @@ class TestLossForwardBits:
             np.testing.assert_array_equal(out.grad_cosines, grad)
 
 
+def complex_step_loss(spec, cosines, labels):
+    """Test-local per-sample loss of ``spec`` in complex arithmetic, for the
+    complex-step derivative: the series by ``chebval`` on the closed-form
+    coefficients, AAM by ``x cos m - sqrt(1 - x^2) sin m``, and the row max,
+    which only shifts the logits, taken on the real parts."""
+    m, rows = spec.margin, np.arange(cosines.shape[0])
+    x = cosines[rows, labels]
+    if spec.kind is LossKind.N_SOFTMAX:
+        psi = x
+    elif spec.kind is LossKind.AM_SOFTMAX:
+        psi = x - m
+    elif spec.kind is LossKind.AAM_SOFTMAX:
+        psi = x * math.cos(m) - np.sqrt(1 - x * x) * math.sin(m)
+    else:
+        a = np.zeros(spec.degree + 1)
+        a[0], a[1] = -2 * math.sin(m) / math.pi, math.cos(m)
+        k = np.arange(1, spec.degree // 2 + 1)
+        a[2 * k] = 2 * math.sin(m) / math.pi * (1 / (2 * k - 1) - 1 / (2 * k + 1))
+        psi = np.polynomial.chebyshev.chebval(x, a)
+    logits = spec.scale * cosines
+    logits[rows, labels] = spec.scale * psi
+    shift = logits.real.max(axis=1)
+    return np.log(np.exp(logits - shift[:, None]).sum(axis=1)) - (logits[rows, labels] - shift)
+
+
+class TestComplexStepGradient:
+    """``grad_cosines`` is the derivative of the loss to rounding error:
+    ``Im L(x + ih) / h`` at ``h = 1e-30`` differentiates with no
+    subtraction (Squire and Trapp, SIAM Review 40(1), 1998), so it resolves
+    the gradient next to the edge, where finite differences cannot."""
+
+    H = 1e-30
+
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("near", [False, True], ids=["bulk", "near"])
+    def test_matches_the_complex_step_derivative(self, kind, near):
+        spec = LossSpec(kind, margin=0.5, scale=32.0, degree=30)
+        batch = random_batch(0)
+        if near:  # target cosines 1 - 10^-2 .. 1 - 10^-9
+            batch.cosines[np.arange(8), batch.labels] = 1 - 10.0 ** -np.arange(2, 10)
+        grad = losses._forward(spec)(batch.cosines, batch.labels).grad_cosines
+        oracle = np.empty_like(grad)
+        for col in range(batch.cosines.shape[1]):  # rows are independent
+            stepped = batch.cosines.astype(complex)
+            stepped[:, col] += 1j * self.H
+            oracle[:, col] = complex_step_loss(spec, stepped, batch.labels).imag / self.H
+        assert np.max(np.abs(grad - oracle) / np.maximum(1.0, np.abs(grad))) <= 1e-12
+
+
 class TestGradCheck:
     def test_n_softmax_tighter_tolerance(self):
         spec = LossSpec(LossKind.N_SOFTMAX)
